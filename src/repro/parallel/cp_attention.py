@@ -158,37 +158,14 @@ class CPAttentionEngine:
 
         outs = []
         for rank in range(n):
-            out_heads = _attention_with_positions(
-                qs[rank], k_full[rank], v_full[rank],
-                positions[rank], all_positions, attn)
+            # Query at absolute position p attends keys at positions <= p.
+            mask = all_positions[None, :] > positions[rank][:, None]
+            out_heads = ops.attention(
+                qs[rank].transpose(0, 2, 1, 3),
+                k_full[rank].transpose(0, 2, 1, 3),
+                v_full[rank].transpose(0, 2, 1, 3), mask,
+            ).transpose(0, 2, 1, 3)
             b, s_local = out_heads.shape[0], out_heads.shape[1]
             flat = out_heads.reshape(b, s_local, attn.hidden_size)
             outs.append(attn.out_proj(flat))
         return outs
-
-
-def _attention_with_positions(q: Tensor, k: Tensor, v: Tensor,
-                              q_pos: np.ndarray, k_pos: np.ndarray,
-                              attn: SelfAttention) -> Tensor:
-    """Causal attention with explicit absolute positions.
-
-    ``q`` is ``[b, sq, q_heads, d]``; ``k``/``v`` are
-    ``[b, sk, kv_heads, d]``.  Query at position p attends keys with
-    position <= p.
-    """
-    qh = q.transpose(0, 2, 1, 3)
-    kh = k.transpose(0, 2, 1, 3)
-    vh = v.transpose(0, 2, 1, 3)
-    n_q = qh.shape[1]
-    n_kv = kh.shape[1]
-    m = n_q // n_kv
-    if m > 1:
-        from ..tensor.ops import _repeat_heads
-        kh = _repeat_heads(kh, m)
-        vh = _repeat_heads(vh, m)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    mask = k_pos[None, :] > q_pos[:, None]
-    scores = ops.masked_fill(scores, mask[None, None], -1e30)
-    weights = ops.softmax(scores, axis=-1)
-    return (weights @ vh).transpose(0, 2, 1, 3)

@@ -67,15 +67,17 @@ class AdamW:
             g = grads[i] if grads is not None else p.grad
             if g is None:
                 continue
-            g = g.astype(np.float64)
+            g = g.astype(np.float64, copy=False)
             self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
             update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2)
                                           + self.eps)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
-            p.data = (p.data.astype(np.float64)
-                      - self.lr * update).astype(p.data.dtype)
+            # Rebind p.data, never write into it: checkpoint and elastic
+            # code hold references to the old arrays (and to m, v).
+            p.data = (p.data.astype(np.float64, copy=False)
+                      - self.lr * update).astype(p.data.dtype, copy=False)
 
     def zero_grad(self) -> None:
         """Clear every parameter's gradient."""
@@ -117,7 +119,7 @@ class MultiPrecisionAdamW(AdamW):
             g = grads[i] if grads is not None else p.grad
             if g is None:
                 continue
-            g = g.astype(np.float64)
+            g = g.astype(np.float64, copy=False)
             self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
             update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2)
@@ -127,7 +129,7 @@ class MultiPrecisionAdamW(AdamW):
             self.main_params[i] -= self.lr * update
             p.data = round_to_format(
                 self.main_params[i], self.model_format
-            ).astype(p.data.dtype)
+            ).astype(p.data.dtype, copy=False)
 
     def model_param_nbytes(self) -> float:
         """Wire/storage bytes of the low-precision model copy."""

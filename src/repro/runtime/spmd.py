@@ -37,11 +37,13 @@ sequential runs.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from ..comm.rendezvous import Rendezvous, SpmdAbort
+from ..tensor.tensor import is_grad_enabled, no_grad
 
 __all__ = [
     "EXECUTION_MODES",
@@ -55,6 +57,13 @@ __all__ = [
 EXECUTION_MODES = ("sequential", "threaded", "vectorized")
 
 _TLS = threading.local()
+
+
+def _caller_grad_mode() -> Callable[[], Any]:
+    """A context factory that gives a worker thread the caller's grad
+    mode: grad mode is per thread, and rank threads act for the caller
+    (an eval under ``no_grad`` must not record tapes on its ranks)."""
+    return contextlib.nullcontext if is_grad_enabled() else no_grad
 
 
 def current_rank() -> Optional[int]:
@@ -243,13 +252,15 @@ class SpmdExecutor:
         err_lock = threading.Lock()
         tracer = self._tracer_of(group)
         parent = tracer.current() if tracer is not None else None
+        grad_mode = _caller_grad_mode()
 
         def worker(idx: int) -> None:
             _TLS.rank = int(group.ranks[idx])
             if tracer is not None:
                 tracer.inherit_parent(parent)
             try:
-                results[idx] = rank_fn(RankComm(group, idx, rdv))
+                with grad_mode():
+                    results[idx] = rank_fn(RankComm(group, idx, rdv))
             except SpmdAbort:
                 pass  # a peer failed; its error is already recorded
             except BaseException as exc:  # noqa: BLE001
@@ -291,12 +302,14 @@ class SpmdExecutor:
         errors: List[Any] = []
         err_lock = threading.Lock()
         parent = tracer.current() if tracer is not None else None
+        grad_mode = _caller_grad_mode()
 
         def worker(idx: int) -> None:
             if tracer is not None:
                 tracer.inherit_parent(parent)
             try:
-                results[idx] = fn(work[idx])
+                with grad_mode():
+                    results[idx] = fn(work[idx])
             except BaseException as exc:  # noqa: BLE001
                 with err_lock:
                     errors.append((idx, exc))

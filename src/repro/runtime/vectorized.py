@@ -35,6 +35,9 @@ Numerics contract (enforced by the ``dag_bitwise`` invariant and
   ``np.sum`` over the rank axis — the very reduction the per-rank path
   computes — followed by the inverse split.
 
+Attention needs no mirror here: :func:`repro.tensor.ops.attention`
+takes any leading axes, so the rank-stacked handlers call it directly.
+
 Scope: the SP and TP attention chains, the per-token norms/residuals,
 and the linear projections are vectorized; bindings without a ``vec``
 handler (the ragged EP token dispatch and the TP/AG-RS FFN, whose
@@ -69,7 +72,6 @@ __all__ = [
     "vec_reduce_scatter",
     "vec_rmsnorm",
     "vec_rope",
-    "vec_scaled_dot_product_attention",
     "vec_shard_matmul",
 ]
 
@@ -265,44 +267,6 @@ def vec_rope(t: Tensor, base: float,
         return (np.concatenate([gx1, gx2], axis=-1),)
 
     return Tensor.from_op(out, [t], backward, "vec_rope")
-
-
-def _vec_repeat_heads(t: Tensor, m: int) -> Tensor:
-    """GQA head repetition on ``[n, b, heads, s, d]``."""
-    n, b, h, s, d = t.shape
-    out = np.repeat(t.data, m, axis=2)
-
-    def backward(g):
-        return (g.reshape(n, b, h, m, s, d).sum(axis=3),)
-
-    return Tensor.from_op(out, [t], backward, "vec_repeat_heads")
-
-
-def vec_scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                     causal: bool = True) -> Tensor:
-    """Causal GQA attention on ``[n, b, heads, s, head_dim]`` — the
-    rank-stacked mirror of
-    :func:`repro.tensor.ops.scaled_dot_product_attention`, built from
-    the same tape ops so every backward formula matches slice-for-slice.
-    """
-    _, _, hq, sq, dq = q.shape
-    hk = k.shape[2]
-    if hq % hk != 0:
-        raise ValueError(
-            f"query heads {hq} not a multiple of kv heads {hk}"
-        )
-    m = hq // hk
-    if m > 1:
-        k = _vec_repeat_heads(k, m)
-        v = _vec_repeat_heads(v, m)
-    scale = 1.0 / np.sqrt(dq)
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    if causal:
-        sk = k.shape[3]
-        mask = np.triu(np.ones((sq, sk), dtype=bool), k=1)
-        scores = tops.masked_fill(scores, mask[None, None, None], -1e30)
-    weights = tops.softmax(scores, axis=-1)
-    return weights @ v
 
 
 def vec_shard_matmul(x: Tensor, weights: Sequence[Tensor]) -> Tensor:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, scatter_add
 
 __all__ = [
     "concat",
@@ -31,6 +31,8 @@ __all__ = [
     "index_add_rows",
     "masked_fill",
     "rope_rotate",
+    "attention",
+    "causal_mask",
     "scaled_dot_product_attention",
     "precision_cast",
     "dropout",
@@ -146,9 +148,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     out = weight.data[ids]
 
     def backward(g):
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids, g)
-        return (gw,)
+        return (scatter_add(np.zeros_like(weight.data), ids, g),)
 
     return Tensor.from_op(out, [weight], backward, "embedding")
 
@@ -197,9 +197,7 @@ def take_rows(t: Tensor, index: np.ndarray) -> Tensor:
     out = t.data[index]
 
     def backward(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, index, g)
-        return (full,)
+        return (scatter_add(np.zeros_like(t.data), index, g),)
 
     return Tensor.from_op(out, [t], backward, "take_rows")
 
@@ -211,8 +209,8 @@ def put_rows(t: Tensor, index: np.ndarray, out_rows: int) -> Tensor:
     accumulate).  This is the *scatter* counterpart of :func:`take_rows`.
     """
     index = np.asarray(index)
-    out = np.zeros((out_rows,) + t.shape[1:], dtype=t.dtype)
-    np.add.at(out, index, t.data)
+    out = scatter_add(np.zeros((out_rows,) + t.shape[1:], dtype=t.dtype),
+                      index, t.data)
 
     def backward(g):
         return (g[index],)
@@ -223,8 +221,7 @@ def put_rows(t: Tensor, index: np.ndarray, out_rows: int) -> Tensor:
 def index_add_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
     """``base`` with ``rows`` accumulated at ``index`` along axis 0."""
     index = np.asarray(index)
-    out = base.data.copy()
-    np.add.at(out, index, rows.data)
+    out = scatter_add(base.data.copy(), index, rows.data)
 
     def backward(g):
         return g, g[index]
@@ -318,42 +315,94 @@ def rope_rotate(t: Tensor, base: float = 10000.0,
     return Tensor.from_op(out, [t], backward, "rope")
 
 
-def scaled_dot_product_attention(
-    q: Tensor, k: Tensor, v: Tensor, causal: bool = True
-) -> Tensor:
-    """Multi-head attention core on ``[batch, heads, seq, head_dim]``.
+@functools.lru_cache(maxsize=64)
+def causal_mask(sq: int, sk: int) -> np.ndarray:
+    """Memoized ``[sq, sk]`` causal mask: True where key ``j > i``.
 
-    Supports grouped-query attention: if ``k``/``v`` have fewer heads than
-    ``q`` (by an integer factor ``m``), they are shared across groups of
-    ``m`` query heads — the GQA pattern the paper's SP-communication
-    formula (Eq. 2) exploits.
+    Read-only, like :func:`_rope_tables`: every layer and step shares
+    one array.
     """
-    bq, hq, sq, dq = q.shape
-    bk, hk, sk, dk = k.shape
+    mask = np.triu(np.ones((sq, sk), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              mask: Optional[np.ndarray] = None) -> Tensor:
+    """Fused scaled-dot-product attention on ``[..., heads, seq, dim]``.
+
+    ``mask`` (``[sq, sk]`` bool, True = masked) hides keys from queries.
+    If ``k``/``v`` have fewer heads than ``q`` (by an integer factor
+    ``m``), each KV head serves ``m`` query heads — the grouped-query
+    pattern the paper's SP-communication formula (Eq. 2) exploits.
+
+    One tape node and one ``S x S`` buffer, worked in place.  Forward
+    and VJP make the BLAS calls and elementwise ops of the unfused chain
+    (repeat KV heads, ``q @ kᵀ``, scale, mask fill with -1e30, softmax,
+    ``@ v``) on the same operands and layouts, so output and gradients
+    are bit-for-bit those of the chain (docs/INTERNALS.md §1).
+    """
+    hq, hk = q.shape[-3], k.shape[-3]
     if hq % hk != 0:
         raise ValueError(f"query heads {hq} not a multiple of kv heads {hk}")
     m = hq // hk
+    qd, kd, vd = q.data, k.data, v.data
     if m > 1:
-        k = _repeat_heads(k, m)
-        v = _repeat_heads(v, m)
-    scale = 1.0 / np.sqrt(dq)
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    if causal:
-        mask = np.triu(np.ones((sq, sk), dtype=bool), k=1)
-        scores = masked_fill(scores, mask[None, None], -1e30)
-    weights = softmax(scores, axis=-1)
-    return weights @ v
-
-
-def _repeat_heads(t: Tensor, m: int) -> Tensor:
-    """Repeat each KV head ``m`` times along the head axis (GQA)."""
-    b, h, s, d = t.shape
-    out = np.repeat(t.data, m, axis=1)
+        kd = np.repeat(kd, m, axis=-3)
+        vd = np.repeat(vd, m, axis=-3)
+    probs = qd @ kd.swapaxes(-1, -2)
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=probs.dtype)
+    probs *= scale
+    if mask is not None:
+        np.copyto(probs, -1e30, where=mask)
+    probs -= probs.max(axis=-1, keepdims=True)
+    if mask is not None and not mask.all(axis=-1).any():
+        # Every row keeps a key, so exp(-1e30 - max) underflows to +0.0
+        # for each masked entry; skip numpy's slow underflow path.
+        np.copyto(probs, 0.0, where=mask)
+        np.exp(probs, out=probs)
+        probs *= ~mask
+    else:
+        np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = probs @ vd
 
     def backward(g):
-        return (g.reshape(b, h, m, s, d).sum(axis=2),)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = probs.swapaxes(-1, -2) @ g
+            if m > 1:
+                gv = _fold_heads(gv, m)
+        if q.requires_grad or k.requires_grad:
+            gs = g @ vd.swapaxes(-1, -2)
+            gs -= (gs * probs).sum(axis=-1, keepdims=True)
+            gs *= probs
+            if mask is not None:
+                np.copyto(gs, 0.0, where=mask)
+            gs *= scale
+            if q.requires_grad:
+                gq = gs @ kd
+            if k.requires_grad:
+                gk = (qd.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+                if m > 1:
+                    gk = _fold_heads(gk, m)
+        return gq, gk, gv
 
-    return Tensor.from_op(out, [t], backward, "repeat_heads")
+    return Tensor.from_op(out, [q, k, v], backward, "attention")
+
+
+def _fold_heads(g: np.ndarray, m: int) -> np.ndarray:
+    """Sum the gradient of ``m`` repeated KV heads back onto one head."""
+    *lead, h, s, d = g.shape
+    return g.reshape(*lead, h // m, m, s, d).sum(axis=-3)
+
+
+def scaled_dot_product_attention(
+    q: Tensor, k: Tensor, v: Tensor, causal: bool = True
+) -> Tensor:
+    """:func:`attention` with the causal mask on or off."""
+    mask = causal_mask(q.shape[-2], k.shape[-2]) if causal else None
+    return attention(q, k, v, mask)
 
 
 def precision_cast(t: Tensor, round_fn, grad_round_fn=None) -> Tensor:

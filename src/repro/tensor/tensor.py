@@ -14,33 +14,45 @@ arithmetic, and the topological-sort backward pass.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "Node", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "Node", "no_grad", "is_grad_enabled", "scatter_add"]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
 
-_GRAD_ENABLED = [True]
+
+class _GradMode(threading.local):
+    """Per-thread tape-recording switch: a ``no_grad`` in one rank
+    thread must not drop the tape nodes another rank is recording."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager disabling tape recording (for eval / optimizers)."""
+    """Context manager disabling tape recording (for eval / optimizers).
+
+    The mode is thread-local: it covers the entering thread only.
+    """
 
     def __enter__(self):
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        _GRAD_ENABLED[0] = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
 def is_grad_enabled() -> bool:
-    """True when operations record tape nodes."""
-    return _GRAD_ENABLED[0]
+    """True when operations in this thread record tape nodes."""
+    return _GRAD_MODE.enabled
 
 
 class Node:
@@ -71,6 +83,72 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _is_basic_index(index) -> bool:
+    """True for an index made of ints, slices and ``...`` only."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        isinstance(i, slice) or i is Ellipsis
+        or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+        for i in items
+    )
+
+
+#: Smallest integer-index scatter (in values) run in rounds: below it the
+#: rounds' fixed cost (~30 us of argsort and fancy indexing) exceeds
+#: ``np.add.at``'s ~9 ns per element (numpy 2.4, x86-64; serving's
+#: per-request combine sits below, training's gathers above).
+_ROUNDS_MIN_SIZE = 8192
+
+
+def scatter_add(out: np.ndarray, index, values: np.ndarray) -> np.ndarray:
+    """``np.add.at(out, index, values)``, bit for bit, but faster.
+
+    ``np.add.at`` adds element by element in index order, so a target
+    receives its addends as ``((out + v_first) + v_second) + ...``.  The
+    fast paths keep that order exactly:
+
+    * a basic index (ints, slices) selects each element at most once,
+      so it is one in-place ``+=`` on a view;
+    * an integer index array is applied in rounds by occurrence rank
+      (a stable argsort): round ``r`` adds every target's ``r``-th
+      addend in one fancy-index add, which has no duplicates.
+
+    Any other index (boolean, multi-array, broadcast values, mixed
+    dtypes, out of bounds), and an integer index with fewer than
+    ``_ROUNDS_MIN_SIZE`` values, goes to ``np.add.at``.  Returns ``out``.
+    """
+    fast = isinstance(values, np.ndarray) and values.dtype == out.dtype
+    if fast and _is_basic_index(index):
+        view = out[index]
+        if isinstance(view, np.ndarray):
+            view += values
+        else:  # every axis indexed by an int: a scalar, not a view
+            out[index] += values
+        return out
+    idx = None if isinstance(index, tuple) else np.asarray(index)
+    if (fast and idx is not None and idx.dtype.kind in "iu"
+            and out.ndim > 0 and values.shape == idx.shape + out.shape[1:]
+            and values.size >= _ROUNDS_MIN_SIZE):
+        n = out.shape[0]
+        flat = idx.reshape(-1)
+        low, high = flat.min(), flat.max()
+        if low >= -n and high < n:
+            if low < 0:
+                flat = np.where(flat < 0, flat + n, flat)
+            rows = values.reshape((flat.size,) + out.shape[1:])
+            order = np.argsort(flat, kind="stable")
+            ranked = flat[order]
+            starts = np.flatnonzero(
+                np.concatenate(([True], ranked[1:] != ranked[:-1])))
+            counts = np.diff(np.append(starts, flat.size))
+            for r in range(int(counts.max())):
+                sel = order[starts[counts > r] + r]
+                out[flat[sel]] += rows[sel]
+            return out
+    np.add.at(out, index, values)
+    return out
 
 
 class Tensor:
@@ -247,11 +325,12 @@ class Tensor:
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
-        return Tensor.from_op(
-            a * b, [self, other],
-            lambda g: (g * b, g * a),
-            "mul",
-        )
+
+        def backward(g):
+            return (g * b if self.requires_grad else None,
+                    g * a if other.requires_grad else None)
+
+        return Tensor.from_op(a * b, [self, other], backward, "mul")
 
     __rmul__ = __mul__
 
@@ -284,15 +363,19 @@ class Tensor:
         out = a @ b
 
         def backward(g):
-            if b.ndim == 1:
-                ga = np.outer(g, b) if a.ndim > 1 else g * b
-                gb = a.T @ g if a.ndim > 1 else a * g
-            elif a.ndim == 1:
-                ga = g @ b.swapaxes(-1, -2)
-                gb = np.outer(a, g)
-            else:
-                ga = g @ b.swapaxes(-1, -2)
-                gb = a.swapaxes(-1, -2) @ g
+            ga = gb = None
+            if self.requires_grad:
+                if b.ndim == 1:
+                    ga = np.outer(g, b) if a.ndim > 1 else g * b
+                else:
+                    ga = g @ b.swapaxes(-1, -2)
+            if other.requires_grad:
+                if b.ndim == 1:
+                    gb = a.T @ g if a.ndim > 1 else a * g
+                elif a.ndim == 1:
+                    gb = np.outer(a, g)
+                else:
+                    gb = a.swapaxes(-1, -2) @ g
             return ga, gb
 
         return Tensor.from_op(out, [self, other], backward, "matmul")
@@ -362,9 +445,7 @@ class Tensor:
         shape = self.shape
 
         def backward(g):
-            full = np.zeros(shape, dtype=g.dtype)
-            np.add.at(full, index, g)
-            return (full,)
+            return (scatter_add(np.zeros(shape, dtype=g.dtype), index, g),)
 
         return Tensor.from_op(out, [self], backward, "getitem")
 

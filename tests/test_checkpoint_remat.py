@@ -96,18 +96,27 @@ class TestMemoryEfficientAttention:
                                    atol=1e-12)
 
     def test_scores_not_retained(self, rng):
-        """The s×s probability matrix must not live on the tape."""
+        """The s×s probability matrix must not live on the tape.
+
+        The memory-efficient path keeps no ``[b, h, s, s]`` array; the
+        standard path keeps exactly one (the fused kernel's
+        probabilities, which its VJP needs).
+        """
         s = 32
         x = rng.standard_normal((1, s, 16))
-        sizes = {}
+        scores, sizes = {}, {}
         for eff in (False, True):
             attn = SelfAttention(np.random.default_rng(0), 16, 4, 2,
                                  dtype=np.float64, memory_efficient=eff)
             xt = Tensor(x, requires_grad=True)
             out = attn(xt)
             params = [p.data for p in attn.parameters()]
+            saved = tape_saved_arrays(out, exclude=params)
+            scores[eff] = [a for a in saved if a.shape == (1, 4, s, s)]
             sizes[eff] = tape_live_bytes(out, exclude=params)
-        assert sizes[True] < 0.5 * sizes[False]
+        assert len(scores[False]) == 1
+        assert scores[True] == []
+        assert sizes[True] < sizes[False]
 
 
 class TestSelectiveRematModel:

@@ -31,7 +31,7 @@ from repro.runtime import (
     parallel_backward,
     resolve_execution,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, is_grad_enabled, no_grad
 
 CONFIG = ModelConfig("spmd", n_layers=2, hidden_size=32, n_heads=8,
                      gqa_ratio=2, ffn_hidden_size=48, n_experts=8,
@@ -93,6 +93,20 @@ class TestExecutorMechanics:
 
         with pytest.raises(RuntimeError, match="collective mismatch"):
             ex.run(world4.full_group(), rank_fn)
+
+    def test_workers_inherit_grad_mode(self, world4):
+        """Grad mode is per thread; rank threads take the caller's."""
+        ex = SpmdExecutor(parallelism=2)
+        group = world4.full_group()
+
+        def probe(_):
+            return is_grad_enabled()
+
+        assert ex.run(group, probe) == [True] * 4
+        assert ex.map(probe, range(3)) == [True] * 3
+        with no_grad():
+            assert ex.run(group, probe) == [False] * 4
+            assert ex.map(probe, range(3)) == [False] * 3
 
     def test_map_preserves_order_and_propagates(self):
         ex = SpmdExecutor(parallelism=2)

@@ -1,5 +1,7 @@
 """Tests for the tape-based autograd engine."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,41 @@ class TestBackwardMechanics:
             out = t * 2
         assert is_grad_enabled()
         assert out.node is None and not out.requires_grad
+
+    def test_no_grad_is_thread_local(self):
+        """A ``no_grad`` in one thread must not drop another thread's
+        tape nodes (rank threads run side by side)."""
+        inside, recorded = threading.Event(), threading.Event()
+        seen = {}
+
+        def eval_thread():
+            with no_grad():
+                inside.set()
+                recorded.wait(timeout=10)
+                seen["eval"] = (Tensor([1.0], requires_grad=True) * 2).node
+
+        def train_thread():
+            inside.wait(timeout=10)
+            t = Tensor([1.0], requires_grad=True)
+            seen["enabled"] = is_grad_enabled()
+            out = (t * 3).sum()
+            out.backward()
+            seen["train"] = out.node
+            seen["grad"] = t.grad
+            recorded.set()
+
+        threads = [threading.Thread(target=eval_thread),
+                   threading.Thread(target=train_thread)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+        assert not any(th.is_alive() for th in threads)
+        assert inside.is_set() and recorded.is_set()
+        assert seen["enabled"] and seen["train"] is not None
+        np.testing.assert_array_equal(seen["grad"], [3.0])
+        assert seen["eval"] is None
+        assert is_grad_enabled()
 
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)
