@@ -2,8 +2,8 @@
 
 Cross-validates the paper's closed-form volume formulas against the
 byte ledger of the *data-moving* simulated collectives, running each
-parallel engine on real tensors.  This is the ground truth behind every
-"communication-efficient" claim in §3.
+parallel engine inside a parallel block on real tensors.  This is the
+ground truth behind every "communication-efficient" claim in §3.
 """
 
 import numpy as np
@@ -17,15 +17,22 @@ from repro.core.analysis import (
     tp_attention_comm_volume,
     tp_ffn_comm_volume,
 )
-from repro.model.layers import SelfAttention
-from repro.model.moe import MoELayer
-from repro.parallel.ep_ffn import EPFFNEngine
-from repro.parallel.sp_attention import SPAttentionEngine
-from repro.parallel.tp_attention import TPAttentionEngine
-from repro.parallel.tp_ffn import TPFFNEngine
+from repro.core.config import ModelConfig
+from repro.model.transformer import TransformerBlock
+from repro.parallel import ParallelBlockEngine
 from repro.tensor import Tensor
 
 B, S, H, FH, E, K, N, M = 2, 16, 32, 48, 8, 2, 4, 2
+
+#: Engine -> (attention, ffn, EP dispatch, ledger tag prefix) of the
+#: parallel block whose forward runs it.
+ENGINES = {
+    "sp_attn": ("sp", "ep", "ag_rs", "sp_attn"),
+    "tp_attn": ("tp", "ep", "ag_rs", "tp_attn"),
+    "ep_a2a": ("sp", "ep", "a2a", "ep_ffn"),
+    "ep_agrs": ("sp", "ep", "ag_rs", "ep_ffn"),
+    "tp_ffn": ("sp", "tp", "ag_rs", "tp_ffn"),
+}
 
 
 def shard(x, n):
@@ -35,27 +42,18 @@ def shard(x, n):
 
 
 def measure(engine_name):
+    """Forward bytes one engine's collectives move inside a block."""
+    attention, ffn, mode, prefix = ENGINES[engine_name]
     rng = np.random.default_rng(0)
     world = World(N, N)
-    x = rng.standard_normal((B, S, H))
-    if engine_name in ("sp_attn", "tp_attn"):
-        attn = SelfAttention(rng, H, 8, M, dtype=np.float64)
-        cls = SPAttentionEngine if engine_name == "sp_attn" \
-            else TPAttentionEngine
-        engine = cls(world.full_group(), attn)
-        world.ledger.clear()
-        engine.forward(shard(x, N), S)
-    else:
-        moe = MoELayer(rng, H, FH, E, K, dtype=np.float64)
-        if engine_name == "tp_ffn":
-            engine = TPFFNEngine(world.full_group(), moe)
-        else:
-            mode = "a2a" if engine_name == "ep_a2a" else "ag_rs"
-            engine = EPFFNEngine(world.full_group(), moe, mode=mode)
-        world.ledger.clear()
-        engine.forward(shard(x, N))
+    config = ModelConfig("eq-volumes", 1, H, 8, M, FH, E, K)
+    block = TransformerBlock(rng, config, dtype=np.float64)
+    engine = ParallelBlockEngine(world.full_group(), block, attention,
+                                 ffn, ep_mode=mode)
+    engine.forward(shard(rng.standard_normal((B, S, H)), N), S)
     return sum(r.total_bytes for r in world.ledger.records
-               if not r.tag.endswith(":bwd")) / 8.0  # fp64 elements
+               if r.tag.startswith(prefix)
+               and not r.tag.endswith(":bwd")) / 8.0  # fp64 elements
 
 
 def run_volumes():

@@ -109,8 +109,7 @@ def _traced_tiled_program(tile_tokens):
     world = World(_MEASURED_RANKS, _MEASURED_RANKS)
     world.tracer = tracer = Tracer()
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=_MEASURED_SEQ, backend="dag",
-                        tile_tokens=tile_tokens)
+                        seq_len=_MEASURED_SEQ, tile_tokens=tile_tokens)
     trainer = MegaScaleTrainer(
         model, world,
         ParallelConfig.megascale(_MEASURED_RANKS, ep_dispatch="ag_rs"),

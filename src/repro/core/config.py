@@ -331,15 +331,10 @@ class TrainConfig:
     #: Rank-execution engine: "sequential" (classic per-rank loops),
     #: "threaded" (one thread per rank with rendezvous collectives —
     #: bitwise-identical results), "vectorized" (all ranks stacked on a
-    #: leading axis, one batched kernel per op — bitwise-identical,
-    #: requires the "dag" backend), or None to defer to the
-    #: ``REPRO_EXECUTION`` environment variable.
-    execution: Optional[str] = None
-    #: Numeric backend: "engine" (classic per-engine call chains),
-    #: "dag" (the schedule-ordered DAG executor — bitwise-identical
-    #: results), or None to defer to the ``REPRO_BACKEND`` environment
+    #: leading axis, one batched kernel per op — bitwise-identical),
+    #: or None to defer to the ``REPRO_EXECUTION`` environment
     #: variable.
-    backend: Optional[str] = None
+    execution: Optional[str] = None
     #: Attention-output dropout probability (0 disables).  Randomness
     #: comes from per-rank child streams spawned off ``dropout_seed``
     #: (:class:`~repro.runtime.rng.RankRngPool`), so sequential and
@@ -351,8 +346,8 @@ class TrainConfig:
     #: (sequence positions per rank) for A2A-adjacent fused groups;
     #: AG/RS groups always tile per source rank.  Must divide the
     #: local sequence shard ``seq_len / n`` (validated when the layer
-    #: program is planned) and requires the "dag" backend.  None (or
-    #: an unset ``REPRO_TILE_TOKENS``) keeps fused groups whole.
+    #: program is planned).  None (or an unset
+    #: ``REPRO_TILE_TOKENS``) keeps fused groups whole.
     tile_tokens: Optional[int] = None
 
     def __post_init__(self):
@@ -366,16 +361,6 @@ class TrainConfig:
                 f"unknown execution mode {self.execution!r}; expected "
                 "None, 'sequential', 'threaded', or 'vectorized'"
             )
-        if self.backend not in (None, "engine", "dag"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected None, "
-                "'engine', or 'dag'"
-            )
-        if self.execution == "vectorized" and self.backend == "engine":
-            raise ValueError(
-                "execution='vectorized' runs through the DAG executor; "
-                "it is incompatible with backend='engine'"
-            )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(
                 f"dropout must be in [0, 1), got {self.dropout}"
@@ -383,11 +368,6 @@ class TrainConfig:
         if self.tile_tokens is not None and self.tile_tokens < 1:
             raise ValueError(
                 f"tile_tokens must be >= 1, got {self.tile_tokens}"
-            )
-        if self.tile_tokens is not None and self.backend == "engine":
-            raise ValueError(
-                "tile_tokens requires the 'dag' backend; the engine "
-                "path has no scheduled operator graph to tile"
             )
 
 

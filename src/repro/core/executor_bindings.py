@@ -24,23 +24,25 @@ one engine method computes together, e.g. the grouped-GEMM chain
 
 The ``seq``/``rank`` flavors call the *same* per-op engine methods
 (``SPAttentionEngine.op_qkv``, ``EPFFNEngine.op_scatter_a2a``, …), so
-the autograd tape they build is structurally identical to the legacy
-engine path — which is why ``repro verify`` can demand bitwise equality
-between the two.  The ``vec`` flavor builds a *different* (batched)
-tape whose per-rank slices and gradient-accumulation order are
-nonetheless bitwise-identical to the per-rank tapes — the
-``dag_bitwise`` invariant pins this too.
+the autograd tapes they build are structurally identical — which is why
+``repro verify`` can demand bitwise equality between them.  The ``vec``
+flavor builds a *different* (batched) tape whose per-rank slices and
+gradient-accumulation order are nonetheless bitwise-identical to the
+per-rank tapes — the ``twin_bitwise`` invariant pins both.
 
 :func:`layer_program` closes the loop with the scheduler: it builds the
 forward graph, prices it with the :class:`~repro.perf.KernelModel`,
 runs the :class:`~repro.core.schedule.HolisticScheduler`, and flattens
 the task list (expanding ``fused:`` kernels back to member ops in graph
 order) into the op-level execution order the
-:class:`~repro.runtime.dag_executor.DagExecutor` follows.
+:class:`~repro.runtime.dag_executor.DagExecutor` follows;
+:func:`cached_layer_program` is the one program cache every trainer,
+pipeline stage and block engine draws from.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +57,7 @@ __all__ = [
     "LayerProgram",
     "OpBinding",
     "build_layer_bindings",
+    "cached_layer_program",
     "expand_task",
     "forward_binding",
     "layer_program",
@@ -417,7 +420,6 @@ def _ep_a2a_bindings(engine: Any,
     def seq_dispatch(ctx: _SeqCtx) -> List[Any]:
         send_rows = [v[0] for v in ctx.env["scatter"]]
         send_splits = [v[2] for v in ctx.env["scatter"]]
-        ffn._last_send_splits = [list(s) for s in send_splits]
         return _dist_ops().dist_all_to_all_uneven(
             group, send_rows, send_splits, elem_bytes=eb,
             tag="ep_ffn:dispatch_a2a", tiled=dispatch_tiled,
@@ -772,3 +774,19 @@ def layer_program(model: ModelConfig, parallel: ParallelConfig,
             program.tile_plan = plan
             program.tile_durations = tile_durations
     return program
+
+
+@functools.lru_cache(maxsize=32)
+def cached_layer_program(model: ModelConfig, parallel: ParallelConfig,
+                         micro_batch: int, seq_len: int,
+                         tile_tokens: Optional[int] = None
+                         ) -> LayerProgram:
+    """:func:`layer_program` memoized on its (frozen, hashable) inputs.
+
+    One program serves every layer of a shape, so the scheduler runs
+    once per distinct (model, plan, micro-batch, sequence length, tile
+    width); the trainer, the pipeline's model-parallel stages and
+    stand-alone block engines all share this cache.
+    """
+    return layer_program(model, parallel, micro_batch, seq_len,
+                         tile_tokens=tile_tokens)

@@ -2,8 +2,9 @@
 
 :class:`MegaScaleTrainer` runs a full :class:`~repro.model.MoETransformer`
 through the parallel engines — SP (or TP) attention and EP (or TP) FFN
-per layer, sequence-sharded activations, replicated embeddings/heads —
-exactly as §3 describes the per-layer data flow, and applies the
+per layer, each layer run as its scheduled operator DAG (§4.1), with
+sequence-sharded activations and replicated embeddings/heads — exactly
+as §3 describes the per-layer data flow, and applies the
 optimizer to the shared parameter set.  Because the collectives are
 numerically exact, a MegaScaleTrainer step produces the same loss and
 gradients as the single-rank reference, which the test suite asserts.
@@ -39,7 +40,7 @@ from ..parallel.block import ParallelBlockEngine
 from ..precision.optimizer import AdamW, clip_grad_norm
 from ..precision.policy import PrecisionPolicy
 from ..runtime import backward as runtime_backward
-from ..runtime import make_executor, resolve_backend, resolve_execution
+from ..runtime import make_executor, resolve_execution
 from ..tensor import Tensor, ops
 from .config import ParallelConfig, TrainConfig
 
@@ -103,20 +104,6 @@ class MegaScaleTrainer:
         #: SPMD executor for ``execution="threaded"`` (None = classic
         #: sequential rank loops; vectorized mode is single-threaded).
         self.executor = make_executor(self.execution)
-        #: Numeric backend (config > ``REPRO_BACKEND`` env > "engine").
-        #: "dag" compiles one LayerProgram — forward IR + overlap
-        #: schedule — and runs every layer through the DagExecutor in
-        #: schedule order, bitwise-identical to the engine path.
-        self.backend = resolve_backend(train.backend)
-        if self.execution == "vectorized":
-            if train.backend == "engine":
-                raise ValueError(
-                    "execution='vectorized' requires the DAG backend; "
-                    "backend='engine' cannot batch ranks"
-                )
-            # The rank-stacked kernels live behind the DAG executor's
-            # op bindings, so the mode implies the "dag" backend.
-            self.backend = "dag"
         #: §4.2 tile-granular execution: token-chunk width for fused
         #: groups (config > ``REPRO_TILE_TOKENS`` env > off).  Part of
         #: the program cache key, so toggling it can never serve a
@@ -126,14 +113,8 @@ class MegaScaleTrainer:
             env_tiles = os.environ.get("REPRO_TILE_TOKENS")
             if env_tiles:
                 self.tile_tokens = int(env_tiles)
-        if self.tile_tokens is not None and self.backend != "dag":
-            raise ValueError(
-                "tile_tokens requires the DAG backend; tiled fused "
-                "groups only exist in the scheduled operator graph"
-            )
-        self._dag_programs: Dict[tuple, object] = {}
         self.remat_plan = None
-        if self.backend == "dag" and train.selective_remat:
+        if train.selective_remat:
             from .remat import default_remat_plan
             self.remat_plan = default_remat_plan()
         self.policy = policy
@@ -175,20 +156,16 @@ class MegaScaleTrainer:
     def dag_program_for(self, seq_len: int):
         """The layer's compiled IR + overlap schedule for one seq_len.
 
-        One program serves every layer (identical shapes); cached so
-        the scheduler runs once per distinct (sequence length,
-        tile width) pair.
+        One program serves every layer (identical shapes), drawn from
+        the shared :func:`~repro.core.executor_bindings.
+        cached_layer_program` cache, so the scheduler runs once per
+        distinct (sequence length, tile width) pair.
         """
-        key = (seq_len, self.tile_tokens)
-        program = self._dag_programs.get(key)
-        if program is None:
-            from .executor_bindings import layer_program
-            program = layer_program(
-                self.model.config, self.parallel,
-                self.train_cfg.micro_batch_size, seq_len,
-                tile_tokens=self.tile_tokens)
-            self._dag_programs[key] = program
-        return program
+        from .executor_bindings import cached_layer_program
+        return cached_layer_program(
+            self.model.config, self.parallel,
+            self.train_cfg.micro_batch_size, seq_len,
+            tile_tokens=self.tile_tokens)
 
     def loss(self, token_ids: np.ndarray) -> tuple:
         """Distributed forward; returns (total, lm, aux) loss Tensors.
@@ -212,8 +189,7 @@ class MegaScaleTrainer:
                           inputs[:, r * width:(r + 1) * width])
             for r in range(n)
         ]
-        dag_program = (self.dag_program_for(seq)
-                       if self.backend == "dag" else None)
+        dag_program = self.dag_program_for(seq)
         aux_total: Optional[Tensor] = None
         vectorized = self.execution == "vectorized"
         for engine in self.engines:

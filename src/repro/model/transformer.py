@@ -46,6 +46,7 @@ class TransformerBlock(Module):
     def __init__(self, rng: np.random.Generator, config: ModelConfig,
                  experts_per_group: int = 1, capacity_factor: float = 0.0,
                  dtype=np.float32, remat: bool = False):
+        self.config = config
         self.ln1 = RMSNorm(config.hidden_size, dtype=dtype)
         self.attn = SelfAttention(rng, config.hidden_size, config.n_heads,
                                   config.gqa_ratio, dtype=dtype)

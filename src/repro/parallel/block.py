@@ -1,7 +1,8 @@
 """A full parallel MoE layer: norms + attention + FFN over shards.
 
-Composes the per-module engines into the Fig. 20 data flow with
-sequence-sharded activations.  Because RMSNorm and residual adds act
+Composes the per-module engines' op handlers into the Fig. 20 data flow
+with sequence-sharded activations, executed as the layer's scheduled
+operator DAG (§4.1).  Because RMSNorm and residual adds act
 per-token, they run locally on each shard — this is precisely why both
 MegaScale-MoE and Megatron keep these operators in the sequence-parallel
 region (§2.2).
@@ -79,12 +80,29 @@ class ParallelBlockEngine:
             raise ValueError(f"unknown ffn strategy {ffn!r}")
         self.attention = attention
         self.ffn = ffn
-        #: DAG-backend state: compiled executors keyed by (seq_len,
-        #: program identity), plus introspection from the last DAG run.
+        #: Compiled DAG executors keyed by (seq_len, program identity),
+        #: plus introspection from the last forward.
         self._dag_cache: dict = {}
         self.last_executed_ops: Optional[List[str]] = None
         self.last_executed_tiles: Optional[List[str]] = None
         self.last_remat_report: Optional[dict] = None
+
+    def _check_shards(self, hidden_shards: List[Tensor],
+                     seq_len: int) -> None:
+        """One sequence shard per rank, each ``seq_len / n`` long."""
+        self.group.check_shards(hidden_shards)
+        n = self.group.size
+        if seq_len % n != 0:
+            raise ValueError(
+                f"sequence {seq_len} not divisible by {n} ranks"
+            )
+        local_s = seq_len // n
+        for rank, shard in enumerate(hidden_shards):
+            if shard.shape[1] != local_s:
+                raise ValueError(
+                    f"rank {rank} shard has seq {shard.shape[1]}, "
+                    f"expected {local_s}"
+                )
 
     def forward(self, hidden_shards: List[Tensor], seq_len: int,
                 executor: Optional[object] = None,
@@ -94,58 +112,33 @@ class ParallelBlockEngine:
                 ) -> Tuple[List[Tensor], Tensor]:
         """Map hidden shards through the block; returns (shards, aux).
 
-        ``executor`` (an :class:`~repro.runtime.spmd.SpmdExecutor`) is
-        forwarded to the SP attention and EP FFN engines, which run
-        their per-rank compute on concurrent threads; the TP engines
-        and the per-token norms/residuals stay on the calling thread.
-
-        With a ``dag_program`` (a
-        :class:`~repro.core.executor_bindings.LayerProgram`), the layer
-        instead runs through the
-        :class:`~repro.runtime.dag_executor.DagExecutor` in the
-        program's schedule order — bitwise-identical to this path; an
-        ``executor`` then threads *every* op per-rank, ``vectorized``
-        batches every op over the rank axis
-        (:mod:`repro.runtime.vectorized`), and a ``remat_plan`` drops
-        unretained activations afterwards.
+        The layer runs through the
+        :class:`~repro.runtime.dag_executor.DagExecutor` in the schedule
+        order of ``dag_program`` (a
+        :class:`~repro.core.executor_bindings.LayerProgram`; default:
+        this block's plan and input shape from the shared
+        :func:`~repro.core.executor_bindings.cached_layer_program`
+        cache).  An ``executor`` (an
+        :class:`~repro.runtime.spmd.SpmdExecutor`) threads every op
+        per-rank, ``vectorized`` batches every op over the rank axis
+        (:mod:`repro.runtime.vectorized`) — both bitwise-identical to
+        the sequential walk — and a ``remat_plan`` drops unretained
+        activations afterwards.
         """
-        if dag_program is not None:
-            return self._dag_forward(hidden_shards, seq_len, executor,
-                                     dag_program, remat_plan,
-                                     vectorized=vectorized)
-        if vectorized:
-            raise ValueError(
-                "vectorized execution requires a dag_program"
-            )
-        block = self.block
-        ln1_out = [block.ln1(h) for h in hidden_shards]
-        if executor is not None and self.attention == "sp":
-            attn_out = self.attn_engine.forward(ln1_out, seq_len,
-                                                executor=executor)
-        else:
-            attn_out = self.attn_engine.forward(ln1_out, seq_len)
-        ln2_in = [h + a for h, a in zip(hidden_shards, attn_out)]
-        ln2_out = [block.ln2(x) for x in ln2_in]
-        if self.ffn == "ep":
-            if executor is not None:
-                result = self.ffn_engine.forward(ln2_out,
-                                                 executor=executor)
-            else:
-                result = self.ffn_engine.forward(ln2_out)
-            ffn_out, aux = result.output_shards, result.aux_loss
-        else:
-            ffn_out, aux = self.ffn_engine.forward(ln2_out)
-        return [x + f for x, f in zip(ln2_in, ffn_out)], aux
-
-    def _dag_forward(self, hidden_shards: List[Tensor], seq_len: int,
-                     executor: Optional[object], program,
-                     remat_plan,
-                     vectorized: bool = False
-                     ) -> Tuple[List[Tensor], Tensor]:
-        """Run the layer through the schedule-ordered DAG executor."""
-        from ..core.executor_bindings import build_layer_bindings
+        from ..core.config import ParallelConfig
+        from ..core.executor_bindings import (build_layer_bindings,
+                                              cached_layer_program)
         from ..runtime.dag_executor import DagExecutor
 
+        self._check_shards(hidden_shards, seq_len)
+        program = dag_program
+        if program is None:
+            parallel = ParallelConfig(
+                self.group.size, attention=self.attention, ffn=self.ffn,
+                ep_dispatch=getattr(self.ffn_engine, "mode", "adaptive"))
+            program = cached_layer_program(
+                self.block.config, parallel, hidden_shards[0].shape[0],
+                seq_len)
         key = (seq_len, id(program))
         dag = self._dag_cache.get(key)
         if dag is None:
@@ -155,8 +148,6 @@ class ParallelBlockEngine:
             dag = DagExecutor(program, bindings, self.group)
             self._dag_cache[key] = dag
 
-        if self.ffn == "ep":
-            self.ffn_engine._last_send_splits = None
         tracer = getattr(getattr(self.group, "world", None),
                          "tracer", None)
         result = dag.run({"hidden": hidden_shards}, executor=executor,
@@ -167,27 +158,10 @@ class ParallelBlockEngine:
             if result.executed_tiles is not None else None)
 
         outputs = result.per_rank("residual2")
-        router_vals = result.per_rank("router")
         if self.ffn == "ep":
-            from .ep_ffn import EPForwardResult
-            if self.ffn_engine.mode == "a2a":
-                aux = router_vals[0][3]
-                routings = [v[1] for v in router_vals]
-                tokens = np.array([int(v[1].kept.sum())
-                                   for v in router_vals])
-                ffn_out = result.per_rank("weighted_sum")
-            else:
-                aux = router_vals[0][2]
-                routings = [router_vals[0][0]]
-                tokens = np.asarray(result.per_rank("ffn_ag")[0][1])
-                ffn_out = result.per_rank("ffn_rs")
-            ep_result = EPForwardResult(
-                output_shards=ffn_out, aux_loss=aux, routing=routings,
-                tokens_per_rank=tokens)
-            self.ffn_engine.record_telemetry(result.per_rank("ln2"),
-                                             ep_result)
+            aux = self.ffn_engine.forward(result).aux_loss
         else:
-            aux = router_vals[0][2]
+            aux = result.per_rank("router")[0][2]
 
         self.last_remat_report = (
             result.apply_remat(remat_plan)

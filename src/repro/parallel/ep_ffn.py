@@ -19,6 +19,10 @@ Two communication patterns are implemented:
 Received rows are sorted by ``(expert, source rank)`` — the §4.2
 ordering that minimizes the number of source ranks each GroupedGEMM tile
 depends on.
+
+The engine holds one handler per forward-graph op (``op_*``); the
+layer's DAG bindings (:mod:`repro.core.executor_bindings`) call them
+and issue the collectives in between.
 """
 
 from __future__ import annotations
@@ -32,11 +36,6 @@ from ..comm.group import ProcessGroup
 from ..model.moe import MoELayer, grouped_expert_forward
 from ..model.routing import RoutingResult, build_dispatch_plan
 from ..tensor import Tensor, ops
-from .dist_ops import (
-    dist_all_gather,
-    dist_all_to_all_uneven,
-    dist_reduce_scatter,
-)
 
 __all__ = ["EPFFNEngine", "EPForwardResult", "choose_dispatch_mode"]
 
@@ -91,7 +90,6 @@ class EPFFNEngine:
         #: (consumed by ``repro.verify``'s token-conservation and
         #: router-mass invariants); None until the first forward.
         self.last_telemetry: Optional[dict] = None
-        self._last_send_splits: Optional[List[List[int]]] = None
 
     # -- shared helpers ----------------------------------------------------
 
@@ -106,9 +104,9 @@ class EPFFNEngine:
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
-    # One method per forward-graph op, shared verbatim by the legacy
-    # call chains below and the DAG executor's bindings, so both paths
-    # build the identical autograd tape.
+    # One method per forward-graph op, shared verbatim by the DAG
+    # executor's sequential and per-rank bindings, so both build the
+    # identical autograd tape.
 
     def op_route(self, flat: Tensor):
         """``router`` (A2A mode): replicated gate over local tokens."""
@@ -206,35 +204,45 @@ class EPFFNEngine:
         scaled = fc2_out * w_rows.reshape(-1, 1)
         return ops.put_rows(scaled, plan.token_of_row, t_total)
 
-    def forward(self, hidden_shards: List[Tensor],
-                executor: Optional[object] = None) -> EPForwardResult:
-        """Map ``ln2_out`` shards to combined MoE-output shards.
+    def forward(self, run) -> EPForwardResult:
+        """The EP FFN's forward result, read off one executed layer.
 
-        With an ``executor`` (:class:`~repro.runtime.spmd.SpmdExecutor`),
-        each rank runs on its own thread: routing metadata crosses rank
-        boundaries via an explicit gossip rendezvous instead of shared
-        Python lists, and the global aux loss is built exactly once at a
-        rendezvous so the gate gradient matches the sequential graph
-        bitwise.
+        ``run`` is the layer's
+        :class:`~repro.runtime.dag_executor.DagRunResult`: the FFN ops
+        already ran in schedule order, and this gathers their per-rank
+        outputs, the global aux loss, the routing and the dispatched
+        row counts into an :class:`EPForwardResult`, then records the
+        conservation telemetry.  :class:`~repro.parallel.block.
+        ParallelBlockEngine` calls it once per layer forward, so it is
+        the one hook through which each EP forward can be observed.
         """
-        self.group.check_shards(hidden_shards)
-        self._last_send_splits = None
-        if executor is not None:
-            result = self._forward_spmd(hidden_shards, executor)
-        elif self.mode == "a2a":
-            result = self._forward_a2a(hidden_shards)
+        router_vals = run.per_rank("router")
+        send_splits = None
+        if self.mode == "a2a":
+            aux = router_vals[0][3]
+            routings = [v[1] for v in router_vals]
+            tokens = np.array([int(v[1].kept.sum())
+                               for v in router_vals])
+            outputs = run.per_rank("weighted_sum")
+            send_splits = [list(v[2]) for v in run.per_rank("scatter")]
         else:
-            result = self._forward_ag_rs(hidden_shards)
-        self.record_telemetry(hidden_shards, result)
+            aux = router_vals[0][2]
+            routings = [router_vals[0][0]]
+            tokens = np.asarray(run.per_rank("ffn_ag")[0][1])
+            outputs = run.per_rank("ffn_rs")
+        result = EPForwardResult(output_shards=outputs, aux_loss=aux,
+                                 routing=routings,
+                                 tokens_per_rank=tokens)
+        self.record_telemetry(run.per_rank("ln2"), result, send_splits)
         return result
 
     def record_telemetry(self, hidden_shards: Sequence[Tensor],
-                         result: EPForwardResult) -> None:
+                         result: EPForwardResult,
+                         send_splits: Optional[List[List[int]]]) -> None:
         """Snapshot what dispatch/combine moved, as plain numbers.
 
-        The verify invariants check conservation laws against this; the
-        DAG executor calls it too so both backends expose the same
-        telemetry surface.
+        The verify invariants check conservation laws against this
+        (``send_splits``: each A2A rank's rows per destination).
         """
         self.last_telemetry = {
             "mode": self.mode,
@@ -253,265 +261,8 @@ class EPFFNEngine:
             "input_shapes": [tuple(s.shape) for s in hidden_shards],
             "output_shapes": [tuple(s.shape)
                               for s in result.output_shards],
-            "send_splits": self._last_send_splits,
+            "send_splits": send_splits,
         }
-
-    def _forward_spmd(self, hidden_shards: List[Tensor],
-                      executor) -> EPForwardResult:
-        rank_fn = (self._a2a_rank if self.mode == "a2a"
-                   else self._ag_rs_rank)
-        results = executor.run(
-            self.group,
-            lambda comm: rank_fn(comm, hidden_shards[comm.index]))
-        outputs = [r[0] for r in results]
-        aux = results[0][1]
-        if self.mode == "a2a":
-            routings = [r[2] for r in results]
-            tokens = np.array([r[3] for r in results])
-        else:
-            routings = [results[0][2]]
-            tokens = np.asarray(results[0][3])
-        return EPForwardResult(
-            output_shards=outputs,
-            aux_loss=aux,
-            routing=routings,
-            tokens_per_rank=tokens,
-        )
-
-    # -- A2A dispatch --------------------------------------------------------
-
-    def _forward_a2a(self, hidden_shards: List[Tensor]) -> EPForwardResult:
-        group = self.group
-        n = group.size
-        flats = self._flatten(hidden_shards)
-
-        # 1. Local routing on each rank (replicated gate => the same
-        #    decisions the reference model makes for those tokens).
-        routings: List[RoutingResult] = []
-        weight_tensors: List[Tensor] = []
-        for flat in flats:
-            routing, weights = self.op_route(flat)
-            routings.append(routing)
-            weight_tensors.append(weights)
-        aux = self._global_aux_loss(flats, routings)
-
-        # 2. Sort each rank's kept (token, slot) pairs by destination
-        #    rank, then expert, then token order.
-        send_rows: List[Tensor] = []
-        send_meta = []
-        send_splits = []
-        for flat, routing in zip(flats, routings):
-            rows, meta, splits = self.op_scatter_a2a(flat, routing)
-            send_rows.append(rows)
-            send_meta.append(meta)
-            send_splits.append(splits)
-
-        # 3. Dispatch all-to-all.
-        self._last_send_splits = [list(s) for s in send_splits]
-        received = dist_all_to_all_uneven(
-            group, send_rows, send_splits, elem_bytes=self.elem_bytes,
-            tag="ep_ffn:dispatch_a2a",
-        )
-
-        # 4. On each expert rank: sort received rows by (expert, source
-        #    rank) and run the local experts' GroupedGEMM.
-        returned = [
-            self.op_experts_a2a(received[j], send_meta, send_splits, j)
-            for j in range(n)
-        ]
-
-        # 5. Combine all-to-all: transpose the split matrix.
-        back_splits = [[send_splits[i][j] for i in range(n)]
-                       for j in range(n)]
-        combined_rows = dist_all_to_all_uneven(
-            group, returned, back_splits, elem_bytes=self.elem_bytes,
-            tag="ep_ffn:combine_a2a",
-        )
-
-        # 6. Weighted sum on the source rank (gate weight applied after
-        #    FC2, §4.1).
-        outputs = [
-            self.op_combine_weighted(
-                rows, send_meta[rank], weight_tensors[rank],
-                flats[rank].shape[0], hidden_shards[rank].shape)
-            for rank, rows in enumerate(combined_rows)
-        ]
-
-        return EPForwardResult(
-            output_shards=outputs,
-            aux_loss=aux,
-            routing=routings,
-            tokens_per_rank=np.array(
-                [r.kept.sum() for r in routings]),
-        )
-
-    # -- AG/RS dispatch ------------------------------------------------------
-
-    def _forward_ag_rs(self, hidden_shards: List[Tensor]) -> EPForwardResult:
-        group = self.group
-        n = group.size
-        flats = self._flatten(hidden_shards)
-        t_locals = [f.shape[0] for f in flats]
-        t_total = sum(t_locals)
-
-        # 1. All-gather the token shards: every rank sees all T tokens.
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_all_gather_fp8
-            fulls = dist_all_gather_fp8(group, flats,
-                                        tag="ep_ffn:dispatch_ag")
-        else:
-            fulls = dist_all_gather(group, flats, axis=0,
-                                    elem_bytes=self.elem_bytes,
-                                    tag="ep_ffn:dispatch_ag")
-
-        # Token -> source-rank map for the §4.2 tile ordering.
-        source_rank = np.concatenate([
-            np.full(t, i) for i, t in enumerate(t_locals)])
-
-        contributions: List[Tensor] = []
-        routings: List[RoutingResult] = []
-        aux: Optional[Tensor] = None
-        for j in range(n):
-            # 2. Route the full batch locally (identical on every rank);
-            #    only rank j's expert rows are used downstream, so the
-            #    shared gate accumulates exactly the reference gradient.
-            routing, weights, aux_j = self.op_route_full(fulls[j])
-            routings.append(routing)
-            if j == 0:
-                aux = aux_j  # identical across ranks; count once
-
-            # 3. Local scatter: keep only rows routed to local experts,
-            #    sorted by (expert, source rank).
-            plan, ffn_in = self.op_scatter_ag(fulls[j], routing, j,
-                                              source_rank)
-
-            # 4. Local experts' GroupedGEMM.
-            fc2_out = self.op_experts_ag(ffn_in, plan, j)
-
-            # 5. Gather: weighted rows assembled into a full-size tensor.
-            contributions.append(
-                self.op_gather_ag(fc2_out, plan, weights, t_total))
-
-        # 6. Reduce-scatter the contributions back to sequence shards.
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_reduce_scatter_fp8
-            out_flats = dist_reduce_scatter_fp8(
-                group, contributions, tag="ep_ffn:combine_rs")
-        else:
-            out_flats = dist_reduce_scatter(
-                group, contributions, axis=0,
-                elem_bytes=self.elem_bytes, tag="ep_ffn:combine_rs",
-            )
-        outputs = [flat.reshape(*shard.shape)
-                   for flat, shard in zip(out_flats, hidden_shards)]
-        return EPForwardResult(
-            output_shards=outputs,
-            aux_loss=aux,
-            routing=routings[:1],
-            tokens_per_rank=np.asarray(t_locals),
-        )
-
-    # -- SPMD per-rank paths -----------------------------------------------
-
-    def _a2a_rank(self, comm, shard: Tensor):
-        """One rank's slice of :meth:`_forward_a2a` under an executor.
-
-        Same arithmetic in the same order; peers' routing metadata
-        arrives via gossip (a rendezvous with no ledger bytes — the
-        sequential loop reads it from shared lists), and the global aux
-        loss is constructed once by the rendezvous leader so every rank
-        shares one graph, exactly like the sequential pass.
-        """
-        n = comm.size
-        rank = comm.index
-        flat = self._flatten([shard])[0]
-
-        # 1. Local routing; aux built once over every rank's (flat,
-        #    routing) at a rendezvous — one shared Tensor, one graph.
-        routing, weights = self.op_route(flat)
-        aux = comm.exchange(
-            ("ep_ffn", "aux"), (flat, routing),
-            lambda slots: self._global_aux_loss(
-                [s[0] for s in slots], [s[1] for s in slots]))
-
-        # 2. Sort kept (token, slot) pairs by destination rank.
-        send_rows, meta, splits = self.op_scatter_a2a(flat, routing)
-
-        # Peers' metadata (expert ids per split, split sizes) — the
-        # sequential loop reads these straight out of shared lists.
-        shared = comm.gossip("ep_ffn:meta", (meta, splits))
-        metas = [s[0] for s in shared]
-        all_splits = [s[1] for s in shared]
-
-        # 3. Dispatch all-to-all.
-        received = comm.all_to_all_uneven(
-            send_rows, splits, elem_bytes=self.elem_bytes,
-            tag="ep_ffn:dispatch_a2a")
-
-        # 4. Sort received rows by (expert, source rank); GroupedGEMM.
-        returned = self.op_experts_a2a(received, metas, all_splits, rank)
-
-        # 5. Combine all-to-all: transposed split matrix.
-        back_splits = [all_splits[i][rank] for i in range(n)]
-        rows = comm.all_to_all_uneven(
-            returned, back_splits, elem_bytes=self.elem_bytes,
-            tag="ep_ffn:combine_a2a")
-
-        # 6. Weighted sum on the source rank.
-        output = self.op_combine_weighted(rows, meta, weights,
-                                          flat.shape[0], shard.shape)
-        return output, aux, routing, routing.kept.sum()
-
-    def _ag_rs_rank(self, comm, shard: Tensor):
-        """One rank's slice of :meth:`_forward_ag_rs` under an executor.
-
-        The all-gather delivers the same zero-copy full batch to every
-        rank, each rank routes it locally (identical decisions), and
-        only rank 0's aux-loss graph is kept — exactly the sequential
-        accounting.
-        """
-        j = comm.index
-        flat = self._flatten([shard])[0]
-        t_locals = comm.gossip("ep_ffn:t_local", flat.shape[0])
-        t_total = sum(t_locals)
-
-        # 1. All-gather the token shards.
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_all_gather_fp8
-            full = comm.collective(dist_all_gather_fp8, flat,
-                                   tag="ep_ffn:dispatch_ag")
-        else:
-            full = comm.all_gather(flat, axis=0,
-                                   elem_bytes=self.elem_bytes,
-                                   tag="ep_ffn:dispatch_ag")
-
-        source_rank = np.concatenate([
-            np.full(t, i) for i, t in enumerate(t_locals)])
-
-        # 2. Route the full batch locally.
-        routing, weights, aux = self.op_route_full(full)
-
-        # 3. Local scatter to this rank's experts.
-        plan, ffn_in = self.op_scatter_ag(full, routing, j, source_rank)
-
-        # 4. Local experts' GroupedGEMM.
-        fc2_out = self.op_experts_ag(ffn_in, plan, j)
-
-        # 5. Full-size weighted contribution.
-        contribution = self.op_gather_ag(fc2_out, plan, weights, t_total)
-
-        # 6. Reduce-scatter back to sequence shards.
-        if self.fp8_comm:
-            from .dist_ops_fp8 import dist_reduce_scatter_fp8
-            out_flat = comm.collective(dist_reduce_scatter_fp8,
-                                       contribution,
-                                       tag="ep_ffn:combine_rs")
-        else:
-            out_flat = comm.reduce_scatter(contribution, axis=0,
-                                           elem_bytes=self.elem_bytes,
-                                           tag="ep_ffn:combine_rs")
-        output = out_flat.reshape(*shard.shape)
-        return output, aux, routing, list(t_locals)
 
     # -- aux loss --------------------------------------------------------
 

@@ -144,7 +144,9 @@ class PipelineParallelTrainer:
             return hidden, aux_total
 
         # 3D path: shard the sequence across the MP ranks for this
-        # stage's layers, then reassemble at the stage boundary.
+        # stage's layers, then reassemble at the stage boundary.  Each
+        # layer runs as its scheduled operator DAG, the program drawn
+        # from the trainer's shared ``cached_layer_program`` cache.
         n = self.mp_world.size
         seq = hidden.shape[1]
         if seq % n != 0:

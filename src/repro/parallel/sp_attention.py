@@ -17,18 +17,22 @@ reduce-scatter of the full activation (Eq. 1).
 Weights are *shared Tensor objects* across ranks: gradient contributions
 from every rank accumulate on the replica exactly as the hierarchical
 parameter sync of Appendix A.1 would produce.
+
+The engine holds one handler per forward-graph op (``op_*``, and the
+rank-stacked ``vec_*``); the layer's DAG bindings
+(:mod:`repro.core.executor_bindings`) call them and issue the
+collectives in between.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..comm.group import ProcessGroup
 from ..model.layers import SelfAttention
 from ..tensor import Tensor
-from .dist_ops import dist_all_to_all
 
 __all__ = ["SPAttentionEngine"]
 
@@ -77,9 +81,9 @@ class SPAttentionEngine:
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
-    # One method per forward-graph op, shared verbatim by the legacy
-    # call chains below and the DAG executor's bindings, so both paths
-    # build the identical autograd tape.
+    # One method per forward-graph op, shared verbatim by the DAG
+    # executor's sequential and per-rank bindings, so both build the
+    # identical autograd tape.
 
     def op_qkv(self, shard: Tensor):
         """``qkv_proj``: fused projection split into (q, k, v)."""
@@ -172,99 +176,3 @@ class SPAttentionEngine:
         if self.dropout > 0.0 and self.training:
             out = vec_dropout(out, self.dropout, self.rng_pool)
         return out
-
-    def forward(self, hidden_shards: List[Tensor], seq_len: int,
-                executor: Optional[object] = None) -> List[Tensor]:
-        """Map ``ln1_out`` shards to ``attn_out`` shards.
-
-        Args:
-            hidden_shards: Per-rank ``[b, s/n, h]`` normalized activations.
-            seq_len: Full sequence length ``s`` (for RoPE positions).
-            executor: Optional :class:`~repro.runtime.spmd.SpmdExecutor`;
-                when given, each rank's compute runs on its own thread
-                with rendezvous collectives (bitwise-identical results).
-        """
-        group, attn = self.group, self.attn
-        group.check_shards(hidden_shards)
-        n = group.size
-        local_s = seq_len // n
-
-        if executor is not None:
-            for rank, shard in enumerate(hidden_shards):
-                if shard.shape[1] != local_s:
-                    raise ValueError(
-                        f"rank {rank} shard has seq {shard.shape[1]}, "
-                        f"expected {local_s}"
-                    )
-            return executor.run(
-                group,
-                lambda comm: self._forward_rank(
-                    comm, hidden_shards[comm.index], local_s))
-
-        qs, ks, vs = [], [], []
-        for rank, shard in enumerate(hidden_shards):
-            s_local = shard.shape[1]
-            if s_local != local_s:
-                raise ValueError(
-                    f"rank {rank} shard has seq {s_local}, expected "
-                    f"{local_s}"
-                )
-            q, k, v = self.op_rope(self.op_qkv(shard), rank, local_s)
-            qs.append(q)
-            ks.append(k)
-            vs.append(v)
-
-        # All-to-all: split the head axis (2), gather the sequence axis
-        # (1).  After this, rank r holds ALL positions for its n-th of
-        # the query and KV heads.
-        q_full = dist_all_to_all(group, qs, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-        k_full = dist_all_to_all(group, ks, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-        v_full = dist_all_to_all(group, vs, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-
-        attn_heads = [
-            self.op_attention((q_full[rank], k_full[rank], v_full[rank]))
-            for rank in range(n)
-        ]
-
-        # All-to-all back: split sequence (1), gather heads (2).
-        attn_shards = dist_all_to_all(group, attn_heads, split_axis=1,
-                                      concat_axis=2,
-                                      elem_bytes=self.elem_bytes,
-                                      tag="sp_attn:attn_a2a")
-
-        return [self.op_out_proj(shard, rank)
-                for rank, shard in enumerate(attn_shards)]
-
-    def _forward_rank(self, comm, shard: Tensor, local_s: int) -> Tensor:
-        """One rank's slice of :meth:`forward` under an SPMD executor.
-
-        Runs the identical per-rank arithmetic; the two all-to-alls
-        rendezvous with the peer threads and execute the same
-        whole-world collective, so results match the sequential loop
-        bitwise.
-        """
-        rank = comm.index
-        q, k, v = self.op_rope(self.op_qkv(shard), rank, local_s)
-
-        q_full = comm.all_to_all(q, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-        k_full = comm.all_to_all(k, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-        v_full = comm.all_to_all(v, split_axis=2, concat_axis=1,
-                                 elem_bytes=self.elem_bytes,
-                                 tag="sp_attn:qkv_a2a")
-
-        out = self.op_attention((q_full, k_full, v_full))
-
-        attn_shard = comm.all_to_all(out, split_axis=1, concat_axis=2,
-                                     elem_bytes=self.elem_bytes,
-                                     tag="sp_attn:attn_a2a")
-        return self.op_out_proj(attn_shard, rank)

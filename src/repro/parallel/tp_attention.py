@@ -10,6 +10,11 @@ TP+SP hybrid), so the critical path carries:
 
 which is exactly the Eq. 1 volume ``2 b s h (n-1)/n`` per pass — constant
 in ``n``, the scalability limitation §7 discusses.
+
+The engine holds one handler per forward-graph op (``op_*``, and the
+rank-stacked ``vec_*``); the layer's DAG bindings
+(:mod:`repro.core.executor_bindings`) call them and issue the
+collectives in between.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import numpy as np
 from ..comm.group import ProcessGroup
 from ..model.layers import SelfAttention
 from ..tensor import Tensor, ops
-from .dist_ops import dist_all_gather, dist_reduce_scatter
 
 __all__ = ["TPAttentionEngine"]
 
@@ -78,8 +82,8 @@ class TPAttentionEngine:
 
     # -- per-op handlers (graph-node granularity) --------------------------
     #
-    # One method per forward-graph op, shared by the legacy call chain
-    # below and the DAG executor's bindings.
+    # One method per forward-graph op, shared by the DAG executor's
+    # sequential and per-rank bindings.
 
     def op_qkv(self, x: Tensor, r: int):
         """``qkv_proj``: this rank's head-shard projection of the full
@@ -168,28 +172,6 @@ class TPAttentionEngine:
         """Batched ``out_proj`` partial products."""
         from ..runtime.vectorized import vec_shard_matmul
         return vec_shard_matmul(out, self.out_weights)
-
-    def forward(self, hidden_shards: List[Tensor],
-                seq_len: int) -> List[Tensor]:
-        """Map ``ln1_out`` sequence shards to ``attn_out`` shards."""
-        group = self.group
-        group.check_shards(hidden_shards)
-        n = group.size
-
-        # All-gather the sequence so each rank sees the full input.
-        full_inputs = dist_all_gather(group, hidden_shards, axis=1,
-                                      elem_bytes=self.elem_bytes,
-                                      tag="tp_attn:ag")
-
-        partials = []
-        for r in range(n):
-            qkv = self.op_rope(self.op_qkv(full_inputs[r], r))
-            partials.append(self.op_out_proj(self.op_attention(qkv), r))
-
-        # Partial products sum across ranks; scatter back to seq shards.
-        return dist_reduce_scatter(group, partials, axis=1,
-                                   elem_bytes=self.elem_bytes,
-                                   tag="tp_attn:rs")
 
     def sync_grads_to_reference(self) -> None:
         """Accumulate the shard gradients onto the reference weights.

@@ -6,10 +6,8 @@ contract, and the zero-copy rules the engines rely on.
 
 from .backward import backward, parallel_backward
 from .dag_executor import (
-    BACKENDS,
     DagExecutor,
     DagRunResult,
-    resolve_backend,
     schedule_conformance_problems,
 )
 from .rng import RankRngPool
@@ -24,7 +22,6 @@ from .spmd import (
 )
 
 __all__ = [
-    "BACKENDS",
     "EXECUTION_MODES",
     "DagExecutor",
     "DagRunResult",
@@ -37,7 +34,6 @@ __all__ = [
     "current_rank",
     "make_executor",
     "parallel_backward",
-    "resolve_backend",
     "resolve_execution",
     "schedule_conformance_problems",
 ]

@@ -4,7 +4,9 @@
 (the IR, its overlap schedule, and the flattened op order) plus the
 :class:`~repro.core.executor_bindings.OpBinding` list that maps graph
 ops to engine handlers, and runs the layer **in schedule order** — the
-same order the simulator scores.  Two backends:
+same order the simulator scores.  It is the only way a training layer
+runs (:meth:`~repro.parallel.block.ParallelBlockEngine.forward`), in
+one of three execution forms:
 
 * **sequential** — one thread walks the order; each binding's ``seq``
   handler sees all ranks and issues the classic ``dist_*`` collectives;
@@ -17,10 +19,10 @@ same order the simulator scores.  Two backends:
   (:mod:`repro.runtime.vectorized`), the rest fall back to their
   ``seq`` handlers against on-demand per-rank views.
 
-Because every handler performs the identical Tensor arithmetic as the
-legacy engine path (the vectorized kernels per rank-*slice*), all
-backends are bitwise-identical to it — the ``dag_bitwise`` invariant
-in :mod:`repro.verify` enforces this.
+Because every handler performs the identical Tensor arithmetic (the
+vectorized kernels per rank-*slice*), the three forms are
+bitwise-identical — the ``twin_bitwise`` invariant in
+:mod:`repro.verify` checks each against the sequential walk.
 
 Construction validates the whole contract up front: the bindings'
 ``covers`` partition the graph, the flattened order is a permutation of
@@ -33,35 +35,16 @@ before it runs.  :func:`schedule_conformance_problems` re-checks an
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "BACKENDS",
     "DagExecutor",
     "DagRunResult",
-    "resolve_backend",
     "schedule_conformance_problems",
     "tile_conformance_problems",
     "tiled_execution_order",
 ]
-
-#: Numeric backends the trainer can run a layer through: the legacy
-#: per-engine call chain, or the schedule-ordered DAG executor.
-BACKENDS = ("engine", "dag")
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Pick the numeric backend: explicit config > env > default."""
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "engine"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
 
 @dataclass
 class DagRunResult:

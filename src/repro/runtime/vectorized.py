@@ -1,4 +1,4 @@
-"""All-ranks-at-once vectorized kernels for the DAG backend.
+"""All-ranks-at-once vectorized kernels for the DAG executor.
 
 The thread-per-rank engine (:mod:`repro.runtime.spmd`) buys overlap but
 pays GIL + barrier-rendezvous costs on every collective — exactly the
@@ -9,7 +9,7 @@ removes the per-rank loop altogether: every rank's shard is stacked on
 a leading *rank axis* and each :class:`~repro.core.operators.OpGraph`
 op runs as **one** batched numpy kernel for all ranks at once.
 
-Numerics contract (enforced by the ``dag_bitwise`` invariant and
+Numerics contract (enforced by the ``twin_bitwise`` invariant and
 ``tests/test_vectorized_engine.py``):
 
 * Batched ``np.matmul`` over leading axes is bitwise-identical per
@@ -22,7 +22,7 @@ Numerics contract (enforced by the ``dag_bitwise`` invariant and
   arithmetic at all, so forward values are exact (see
   :func:`vec_all_to_all`).
 * Shared-weight gradients accumulate in **increasing-rank order**, the
-  same left-associated order the legacy engine's tape produces (one
+  same left-associated order the per-rank tapes produce (one
   contribution per rank, rank 0 first), via :func:`_rank_sum`.
 * Every collective still books the identical
   :class:`~repro.comm.group.CommLedger` records — one forward record
@@ -167,7 +167,7 @@ class VecCtx:
 def _rank_sum(parts: np.ndarray, shape: tuple, dtype) -> np.ndarray:
     """Left-associated sum of per-rank weight-gradient partials.
 
-    The legacy engine builds one tape node per rank per shared weight;
+    The per-rank path builds one tape node per rank per shared weight;
     the tape casts each rank's gradient to the weight dtype, reduces it
     with :func:`~repro.tensor.tensor._unbroadcast`, and accumulates in
     increasing-rank order.  Replaying exactly that sequence keeps the

@@ -5,11 +5,10 @@ dimensions, rank count, parallel strategies, EP dispatch mode, comm
 precision, execution engine, dropout, step count, and the data seed —
 as a frozen, hashable value.  The conformance engine
 (:mod:`repro.verify.engine`) turns a case into several runs (the case
-itself, its single-rank golden reference, a sequential twin for
-threaded cases, and a legacy-engine twin for DAG-backend — including
-vectorized — cases) and the fuzzer (:mod:`repro.verify.fuzz`) samples
-and shrinks cases, which is why immutability and cheap equality
-matter.
+itself, its single-rank golden reference, and — for threaded,
+vectorized or tiled cases — its sequential untiled twin) and the fuzzer
+(:mod:`repro.verify.fuzz`) samples and shrinks cases, which is why
+immutability and cheap equality matter.
 """
 
 from __future__ import annotations
@@ -49,12 +48,9 @@ class VerifyCase:
     ep_dispatch: str = "a2a"
     precision: str = "fp32"
     execution: str = "sequential"
-    #: Numeric backend: "engine" (legacy per-engine call chains) or
-    #: "dag" (schedule-ordered DAG executor).
-    backend: str = "engine"
     #: §4.2 tile-granular execution: token-chunk width for fused-group
-    #: tile decomposition (None = untiled).  Requires the DAG backend
-    #: and must divide the per-rank sequence shard ``seq // ranks``.
+    #: tile decomposition (None = untiled).  Must divide the per-rank
+    #: sequence shard ``seq // ranks``.
     tile_tokens: Optional[int] = None
     dropout: float = 0.0
     steps: int = 2
@@ -109,19 +105,7 @@ class VerifyCase:
         if self.execution not in ("sequential", "threaded",
                                   "vectorized"):
             raise ValueError(f"unknown execution {self.execution!r}")
-        if self.backend not in ("engine", "dag"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.execution == "vectorized" and self.backend != "dag":
-            raise ValueError(
-                "execution='vectorized' runs through the DAG executor; "
-                "it requires backend='dag'"
-            )
         if self.tile_tokens is not None:
-            if self.backend != "dag":
-                raise ValueError(
-                    "tile_tokens requires backend='dag' (tile-granular "
-                    "execution only exists in the DAG executor)"
-                )
             local = self.seq // self.ranks
             if self.tile_tokens < 1 or local % self.tile_tokens != 0:
                 raise ValueError(
@@ -184,8 +168,6 @@ class VerifyCase:
             f"s{self.seq}", f"e{self.experts}", f"k{self.top_k}",
             f"st{self.steps}",
         ]
-        if self.backend != "engine":
-            parts.append(self.backend)
         if self.tile_tokens is not None:
             parts.append(f"tt{self.tile_tokens}")
         for step, new_ranks in self.resize:
@@ -219,8 +201,7 @@ class VerifyCase:
             global_batch_size=self.batch, micro_batch_size=self.batch,
             seq_len=self.seq, learning_rate=1e-2,
             aux_loss_coeff=0.01, precision=self.precision,
-            execution=self.execution, backend=self.backend,
-            tile_tokens=self.tile_tokens,
+            execution=self.execution, tile_tokens=self.tile_tokens,
             dropout=self.dropout,
             dropout_seed=self.seed + 1,
         )
@@ -230,37 +211,13 @@ class VerifyCase:
         return dataclasses.replace(self, **changes)
 
     def twin_sequential(self) -> "VerifyCase":
-        """The sequential twin of a threaded case."""
-        return self.replace(execution="sequential")
+        """The bitwise twin: this case, sequential and untiled.
 
-    def twin_engine(self) -> "VerifyCase":
-        """The legacy-backend twin of a DAG-backend case.
-
-        Vectorized cases have no engine-backend sibling (the rank-stacked
-        kernels only exist in the DAG executor), so their twin is the
-        sequential legacy-engine run — the strictest possible reference:
-        the bitwise comparison then spans both the backend and the
-        execution mode at once.
-
-        The twin is always untiled: tile-granular execution is a DAG
-        feature, so a tiled case's bitwise comparison spans the tiling
-        as well.
+        Threaded and vectorized execution and tile-granular collectives
+        all promise results bitwise-identical to the plain sequential
+        walk of the same layer programs; ``twin_bitwise`` checks it.
         """
-        if self.execution == "vectorized":
-            return self.replace(backend="engine",
-                                execution="sequential",
-                                tile_tokens=None)
-        return self.replace(backend="engine", tile_tokens=None)
-
-
-def _backend_for(execution: str) -> str:
-    """Default backend an execution mode pairs with in the grids.
-
-    Vectorized execution only exists in the DAG executor; the other
-    modes default to the legacy engine (the DAG backend is exercised
-    against them by ``twin_engine`` and the ``--backend dag`` override).
-    """
-    return "dag" if execution == "vectorized" else "engine"
+        return self.replace(execution="sequential", tile_tokens=None)
 
 
 #: Token-chunk width of the tiled smoke cases (seq=16 / ranks=4 → the
@@ -277,23 +234,22 @@ def plan_conformance_cases(attention: str = "sp", ffn: str = "ep",
     The plan-space optimizer (:func:`repro.core.planner.plan_cluster`)
     emits a strategy tuple for a production-scale model; this projects
     that tuple onto the 4-rank default shapes so ``repro plan
-    --verify`` can prove the chosen configuration is numerically live
-    on both execution backends.  ``adaptive`` dispatch resolves to the
-    concrete modes it can pick between.
+    --verify`` can prove the chosen configuration is numerically live.
+    ``adaptive`` dispatch resolves to the concrete modes it can pick
+    between.
     """
     dispatches = (("a2a", "ag_rs") if ep_dispatch == "adaptive"
                   else (ep_dispatch,))
     return [
         VerifyCase(attention=attention, ffn=ffn, ep_dispatch=dispatch,
-                   precision=precision, backend=backend, seed=seed)
+                   precision=precision, seed=seed)
         for dispatch in dispatches
-        for backend in ("engine", "dag")
     ]
 
 
 def smoke_matrix(seed: int = 0) -> List[VerifyCase]:
     """The seeded CI grid: execution × EP dispatch × precision, plus a
-    tiled (§4.2 tile-granular) DAG leg per execution × dispatch."""
+    tiled (§4.2 tile-granular) leg per execution × dispatch."""
 
     def cases() -> Iterator[VerifyCase]:
         for execution in SMOKE_EXECUTIONS:
@@ -301,13 +257,11 @@ def smoke_matrix(seed: int = 0) -> List[VerifyCase]:
                 for precision in SMOKE_PRECISIONS:
                     yield VerifyCase(
                         ep_dispatch=dispatch, precision=precision,
-                        execution=execution,
-                        backend=_backend_for(execution), seed=seed,
+                        execution=execution, seed=seed,
                     )
                 yield VerifyCase(
                     ep_dispatch=dispatch, execution=execution,
-                    backend="dag", tile_tokens=SMOKE_TILE_TOKENS,
-                    seed=seed,
+                    tile_tokens=SMOKE_TILE_TOKENS, seed=seed,
                 )
 
     return list(cases())
@@ -474,8 +428,7 @@ def elastic_matrix(seed: int = 0) -> List[VerifyCase]:
                 for precision in SMOKE_PRECISIONS:
                     yield VerifyCase(
                         ep_dispatch=dispatch, precision=precision,
-                        execution=execution,
-                        backend=_backend_for(execution), seed=seed,
+                        execution=execution, seed=seed,
                         steps=3, resize=((1, 2), (2, 4)),
                     )
 

@@ -10,8 +10,9 @@ three trainings from identical seeds —
    :meth:`~repro.model.transformer.MoETransformer.language_model_loss`
    model with the same optimizer schedule (skipped when dropout > 0 —
    a full-sequence model cannot reproduce per-rank dropout masks);
-3. the **sequential twin** (threaded cases only): the identical plan
-   under the sequential rank loop, for the bitwise-identity contract —
+3. the **sequential twin** (threaded, vectorized and tiled cases): the
+   identical plan walked sequentially and untiled, for the
+   bitwise-identity contract —
 
 then evaluates every registered invariant and folds the outcomes into
 a :class:`CaseResult`.  :func:`run_matrix` maps this over a case list
@@ -114,18 +115,17 @@ class RunArtifacts:
     #: telemetry-consuming invariants fail on these instead of passing
     #: vacuously on an all-``None`` telemetry list.
     telemetry_missing: List[str] = field(default_factory=list)
-    #: Per-layer op execution order from the DAG backend (empty for
-    #: engine-backend runs) — checked against the overlap schedule by
-    #: the ``dag_schedule_conformance`` invariant.
+    #: Per-layer op execution order of the DAG executor — checked
+    #: against the overlap schedule by the ``dag_schedule_conformance``
+    #: invariant.
     executed_ops: List[List[str]] = field(default_factory=list)
     #: Per-layer tile-granular execution streams (``<op>#t<i>`` names,
-    #: §4.2) from tiled DAG runs — checked by ``tile_conformance``.
-    #: Empty for untiled/engine-backend runs.
+    #: §4.2) from tiled runs — checked by ``tile_conformance``.  Empty
+    #: for untiled runs.
     executed_tiles: List[List[str]] = field(default_factory=list)
     golden: Optional[GoldenArtifacts] = None
+    #: The sequential untiled twin (``case.twin_sequential()``).
     twin: Optional["RunArtifacts"] = None
-    #: The legacy-backend twin of a DAG-backend case run.
-    engine_twin: Optional["RunArtifacts"] = None
     #: The resize-injected elastic run of a ``case.resize`` case.
     elastic: Optional[ElasticArtifacts] = None
 
@@ -380,10 +380,9 @@ def run_case(case: VerifyCase,
     artifacts = _run_parallel(case, world_setup)
     if case.dropout == 0.0:
         artifacts.golden = _run_golden(case)
-    if case.execution == "threaded":
-        artifacts.twin = _run_parallel(case.twin_sequential())
-    if case.backend == "dag":
-        artifacts.engine_twin = _run_parallel(case.twin_engine())
+    twin = case.twin_sequential()
+    if twin != case:
+        artifacts.twin = _run_parallel(twin)
     if case.resize:
         artifacts.elastic = _run_elastic(case)
     outcomes: List[InvariantResult] = []

@@ -48,20 +48,17 @@ def sample_case(rng: np.random.Generator) -> VerifyCase:
         seq=ranks * int(rng.choice([2, 4])),
         ep_dispatch=str(rng.choice(["a2a", "ag_rs"])),
         precision=str(rng.choice(["fp32", "fp8"])),
-        execution=(execution := str(rng.choice(
-            ["sequential", "threaded", "vectorized"]))),
-        # Vectorized execution only exists in the DAG executor.
-        backend=("dag" if execution == "vectorized"
-                 else str(rng.choice(["engine", "engine", "dag"]))),
+        execution=str(rng.choice(
+            ["sequential", "threaded", "vectorized"])),
         # Dropout cases exercise the per-rank RNG contract (threaded
         # bitwise identity); golden closeness is skipped for them.
         dropout=float(rng.choice([0.0, 0.0, 0.0, 0.1])),
         steps=int(rng.choice([1, 2])),
         seed=int(rng.integers(0, 1_000_000)),
     )
-    # DAG-backend cases sometimes run tile-granular (§4.2): sample a
-    # token-chunk width from the divisors of the per-rank shard.
-    if case.backend == "dag" and float(rng.random()) < 0.5:
+    # Half the cases run tile-granular (§4.2): sample a token-chunk
+    # width from the divisors of the per-rank shard.
+    if float(rng.random()) < 0.5:
         local = case.seq // case.ranks
         divisors = [d for d in range(1, local + 1) if local % d == 0]
         case = case.replace(tile_tokens=int(rng.choice(divisors)))
@@ -140,19 +137,9 @@ def _shrink_candidates(case: VerifyCase) -> Iterator[VerifyCase]:
         yield from filter(None, [attempt(vocab=32)])
     if case.dropout > 0.0:
         yield from filter(None, [attempt(dropout=0.0)])
-    # Shrink toward the plainest execution stack: sequential first
-    # (a vectorized case keeps its DAG backend and stays valid), then
-    # the legacy engine backend (invalid for vectorized cases, which
-    # the attempt() validator filters out).
+    # Shrink toward the plainest execution stack: sequential.
     if case.execution != "sequential":
         yield from filter(None, [attempt(execution="sequential")])
-    if case.backend != "engine":
-        yield from filter(None, [attempt(backend="engine",
-                                         tile_tokens=None)])
-        if case.execution != "sequential":
-            yield from filter(None, [attempt(execution="sequential",
-                                             backend="engine",
-                                             tile_tokens=None)])
 
 
 def shrink(case: VerifyCase,

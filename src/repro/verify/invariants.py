@@ -1,15 +1,15 @@
 """The invariant registry: what "numerically equivalent" means, checked.
 
 Every parallel plan in this repo claims some equivalence to the plain
-single-rank model — bitwise where the design promises it (threaded vs
-sequential execution, PR 3's contract), tolerance-banded where comm is
-compressed (§5 FP8), and always subject to conservation laws (tokens
-through dispatch/combine, router probability mass, ledger bytes vs the
-Eq. 1–4 closed forms) and finiteness.  This module encodes each claim
-as a named :class:`Invariant` with an ``applies`` predicate and a
-``check`` that returns violations; the engine evaluates every
-registered invariant against a case's :class:`~repro.verify.engine.
-RunArtifacts`.
+single-rank model — bitwise where the design promises it (threaded,
+vectorized and tiled execution vs the sequential walk), tolerance-banded
+where comm is compressed (§5 FP8), and always subject to conservation
+laws (tokens through dispatch/combine, router probability mass, ledger
+bytes vs the Eq. 1–4 closed forms) and finiteness.  This module
+encodes each claim as a named :class:`Invariant` with an ``applies``
+predicate and a ``check`` that returns violations; the engine evaluates
+every registered invariant against a case's
+:class:`~repro.verify.engine.RunArtifacts`.
 
 Tolerance policy (per precision format)
 ---------------------------------------
@@ -234,7 +234,9 @@ def _check_golden_params(art: "RunArtifacts") -> List[str]:
     return violations
 
 
-def _check_threaded_bitwise(art: "RunArtifacts") -> List[str]:
+def _check_twin_bitwise(art: "RunArtifacts") -> List[str]:
+    """Threaded, vectorized and tiled runs must be bitwise-identical to
+    the sequential untiled twin (losses, params, ledger)."""
     twin = art.twin
     violations = []
     if art.losses != twin.losses:
@@ -259,33 +261,6 @@ def _check_threaded_bitwise(art: "RunArtifacts") -> List[str]:
     return violations
 
 
-def _check_dag_bitwise(art: "RunArtifacts") -> List[str]:
-    """DAG-executed results must be bitwise-identical to the legacy
-    engine path (same execution mode, same seeds)."""
-    twin = art.engine_twin
-    violations = []
-    if art.losses != twin.losses:
-        violations.append(
-            f"per-step losses differ: {art.losses} vs {twin.losses}"
-        )
-    for name, want in twin.params.items():
-        got = art.params.get(name)
-        if got is None or not np.array_equal(got, want):
-            violations.append(f"param {name} not bitwise-equal to the "
-                              "engine-backend twin")
-    if art.ledger_total_bytes != twin.ledger_total_bytes:
-        violations.append(
-            f"ledger bytes differ: {art.ledger_total_bytes} vs "
-            f"{twin.ledger_total_bytes}"
-        )
-    if art.ledger_counts != twin.ledger_counts:
-        violations.append(
-            f"collective counts differ: {art.ledger_counts} vs "
-            f"{twin.ledger_counts}"
-        )
-    return violations
-
-
 def _check_dag_conformance(art: "RunArtifacts") -> List[str]:
     """The executed op sequence must be a valid topological order of
     both the op graph and the overlap schedule's task list."""
@@ -294,8 +269,7 @@ def _check_dag_conformance(art: "RunArtifacts") -> List[str]:
 
     case = art.case
     if not art.executed_ops:
-        return ["no executed op sequences recorded for a DAG-backend "
-                "run"]
+        return ["no executed op sequences recorded for the run"]
     program = layer_program(case.model_config(), case.parallel_config(),
                             case.batch, case.seq,
                             tile_tokens=case.tile_tokens)
@@ -321,8 +295,7 @@ def _check_tile_conformance(art: "RunArtifacts") -> List[str]:
         return [f"tile_tokens={case.tile_tokens} produced no tiled "
                 "program (no fused group decomposed)"]
     if not art.executed_tiles:
-        return ["no executed tile streams recorded for a tiled "
-                "DAG-backend run"]
+        return ["no executed tile streams recorded for a tiled run"]
     violations = []
     for layer, stream in enumerate(art.executed_tiles):
         for problem in tile_conformance_problems(program, stream):
@@ -684,36 +657,28 @@ def default_registry() -> List[Invariant]:
             check=_check_golden_params,
         ),
         Invariant(
-            name="threaded_bitwise",
-            description="threaded execution is bitwise-identical to "
-                        "the sequential twin (losses, params, ledger)",
-            applies=lambda case: case.execution == "threaded",
-            check=_check_threaded_bitwise,
-        ),
-        Invariant(
-            name="dag_bitwise",
-            description="DAG-executed results are bitwise-identical "
-                        "to the legacy engine path (losses, params, "
-                        "ledger)",
-            applies=lambda case: case.backend == "dag",
-            check=_check_dag_bitwise,
+            name="twin_bitwise",
+            description="threaded, vectorized and tiled execution is "
+                        "bitwise-identical to the sequential untiled "
+                        "twin (losses, params, ledger)",
+            applies=lambda case: case.twin_sequential() != case,
+            check=_check_twin_bitwise,
         ),
         Invariant(
             name="dag_schedule_conformance",
-            description="the DAG backend's executed op sequence is a "
-                        "valid topological order of both the op graph "
-                        "and the overlap schedule",
-            applies=lambda case: case.backend == "dag",
+            description="the executed op sequence is a valid "
+                        "topological order of both the op graph and "
+                        "the overlap schedule",
+            applies=lambda case: True,
             check=_check_dag_conformance,
         ),
         Invariant(
             name="tile_conformance",
-            description="the tiled DAG backend's executed tile stream "
-                        "is a valid interleaving of the §4.2 tile "
-                        "graph (intra-group tile deps and swizzled "
-                        "chunk order respected)",
-            applies=lambda case: (case.backend == "dag"
-                                  and case.tile_tokens is not None),
+            description="the tiled run's executed tile stream is a "
+                        "valid interleaving of the §4.2 tile graph "
+                        "(intra-group tile deps and swizzled chunk "
+                        "order respected)",
+            applies=lambda case: case.tile_tokens is not None,
             check=_check_tile_conformance,
         ),
         Invariant(

@@ -7,6 +7,8 @@ import pytest
 
 from repro.comm import World
 from repro.core.config import ModelConfig
+from repro.model.transformer import TransformerBlock
+from repro.parallel import ParallelBlockEngine, shard_sequence
 from repro.tensor import Tensor
 
 
@@ -68,3 +70,66 @@ def assert_allclose(a, b, tol=1e-10, msg=""):
     b = np.asarray(b, dtype=np.float64)
     err = np.abs(a - b).max() if a.size else 0.0
     assert err <= tol, f"{msg} max err {err} > {tol}"
+
+
+def make_block(rng, hidden, heads, gqa, ffn_hidden, experts, top_k):
+    """A float64 single-layer :class:`TransformerBlock` reference."""
+    config = ModelConfig("block-test", n_layers=1, hidden_size=hidden,
+                         n_heads=heads, gqa_ratio=gqa,
+                         ffn_hidden_size=ffn_hidden, n_experts=experts,
+                         top_k=top_k, vocab_size=16)
+    return TransformerBlock(rng, config, dtype=np.float64)
+
+
+def block_engine(block, n, attention="sp", ffn="ep", **kwargs):
+    """``(world, engine)``: a :class:`ParallelBlockEngine` running
+    ``block`` over a fresh ``n``-rank single-node world."""
+    world = World(n, n)
+    return world, ParallelBlockEngine(world.full_group(), block,
+                                      attention, ffn, **kwargs)
+
+
+def block_reference(block, x, g, with_aux=False):
+    """Single-rank forward of ``block`` and the backward of
+    ``sum(out * g)`` (plus the aux loss when ``with_aux``).
+
+    Returns the output, aux loss, input gradient and every parameter
+    gradient (zeros where none flowed); clears the block's grads.
+    """
+    xt = Tensor(x, requires_grad=True)
+    hidden, moe_out = block(xt)
+    scalar = (hidden * Tensor(g)).sum()
+    if with_aux:
+        scalar = scalar + moe_out.aux_loss
+    scalar.backward()
+    ref = {
+        "out": hidden.data.copy(),
+        "aux": moe_out.aux_loss.item(),
+        "dx": xt.grad.copy(),
+        "grads": {name: (np.zeros_like(p.data) if p.grad is None
+                         else p.grad.copy())
+                  for name, p in block.named_parameters()},
+    }
+    block.zero_grad()
+    return ref
+
+
+def block_parallel(engine, x, g, with_aux=False, **forward_kwargs):
+    """The same forward and backward through a parallel block engine.
+
+    Shards ``x`` over the engine's ranks, runs the layer, backpropagates
+    ``sum(out * g)`` (plus the aux loss when ``with_aux``) in one sweep
+    and returns ``(outputs, aux, input_shards)``.
+    """
+    n = engine.group.size
+    shards = shard_sequence(x, n, requires_grad=True)
+    outs, aux = engine.forward(shards, x.shape[1], **forward_kwargs)
+    width = x.shape[1] // n
+    scalar = None
+    for r, out in enumerate(outs):
+        piece = (out * Tensor(g[:, r * width:(r + 1) * width])).sum()
+        scalar = piece if scalar is None else scalar + piece
+    if with_aux:
+        scalar = scalar + aux
+    scalar.backward()
+    return outs, aux, shards

@@ -41,6 +41,25 @@ class TestParallelBlockEngine:
                                    atol=1e-9)
         assert aux.item() == pytest.approx(ref_aux, abs=1e-10)
 
+    @pytest.mark.parametrize("attn,ffn", [
+        ("sp", "ep"), ("sp", "tp"), ("tp", "ep"), ("tp", "tp"),
+    ])
+    @pytest.mark.parametrize("ep_mode", ["a2a", "ag_rs"])
+    def test_bad_shard_seq_rejected(self, block_setup, attn, ffn,
+                                    ep_mode):
+        """Every strategy validates its shards before any op runs: a
+        4-token shard cannot be an eighth of a 32-token sequence."""
+        block, x = block_setup[:2]
+        world = World(4, 4)
+        engine = ParallelBlockEngine(world.full_group(), block, attn,
+                                     ffn, ep_mode)
+        shards = shard_sequence(np.concatenate([x, x], axis=1), 4)
+        with pytest.raises(ValueError, match="rank 0 .*expected 8"):
+            engine.forward(shards, 32)
+        with pytest.raises(ValueError, match="not divisible"):
+            engine.forward(shards, 18)
+        assert world.ledger.records == []
+
     def test_invalid_strategies(self, block_setup):
         block = block_setup[0]
         world = World(4, 4)

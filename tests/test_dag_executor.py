@@ -1,11 +1,11 @@
 """DAG executor: schedule-ordered numeric execution of the operator IR.
 
-The contract under test is the tentpole invariant: running a layer
-through :class:`~repro.runtime.dag_executor.DagExecutor` — in the
-overlap schedule's flattened order, sequential or thread-per-rank —
-must be *bitwise identical* to the legacy engine call chains, and the
-executed op sequence must be a valid topological order of both the op
-graph and the scheduled task list.
+The contract under test: running a layer through
+:class:`~repro.runtime.dag_executor.DagExecutor` — in the overlap
+schedule's flattened order — gives *bitwise identical* results in every
+execution form (sequential, thread-per-rank, vectorized) and in any
+valid topological order, and the executed op sequence is a valid
+topological order of both the op graph and the scheduled task list.
 """
 
 import dataclasses
@@ -35,7 +35,6 @@ from repro.perf.estimator import (
 from repro.runtime import (
     DagExecutor,
     SpmdExecutor,
-    resolve_backend,
     schedule_conformance_problems,
 )
 
@@ -71,39 +70,49 @@ def layer_input(rng, tiny_config):
     return rng.standard_normal((2, SEQ, tiny_config.hidden_size))
 
 
+def run_forms(tiny_config, layer_input, attn, ffn, dispatch,
+              fp8=False):
+    """One layer forward per execution form, on identical engines."""
+    program = make_program(tiny_config, attn, ffn, dispatch)
+    runs = {}
+    for form in ("sequential", "threaded", "vectorized"):
+        _, engine = make_engine(tiny_config, attn, ffn, dispatch,
+                                fp8=fp8)
+        outs, aux = engine.forward(
+            shard_sequence(layer_input, RANKS), SEQ,
+            executor=SpmdExecutor() if form == "threaded" else None,
+            dag_program=program, vectorized=form == "vectorized")
+        assert engine.last_executed_ops == program.order
+        runs[form] = ([o.data for o in outs], aux.item())
+    return runs
+
+
 class TestDagMatchesEngine:
+    """The block engine's one forward — the scheduled DAG — gives the
+    same bits in every execution form, for every strategy combination."""
+
     @pytest.mark.parametrize("attn,ffn,dispatch", COMBOS)
     def test_forward_bitwise(self, tiny_config, layer_input, attn, ffn,
                              dispatch):
-        _, legacy = make_engine(tiny_config, attn, ffn, dispatch)
-        outs_ref, aux_ref = legacy.forward(
-            shard_sequence(layer_input, RANKS), SEQ)
-
-        _, engine = make_engine(tiny_config, attn, ffn, dispatch)
-        program = make_program(tiny_config, attn, ffn, dispatch)
-        outs, aux = engine.forward(shard_sequence(layer_input, RANKS),
-                                   SEQ, dag_program=program)
-        for a, b in zip(outs, outs_ref):
-            np.testing.assert_array_equal(a.data, b.data)
-        assert aux.item() == aux_ref.item()
+        runs = run_forms(tiny_config, layer_input, attn, ffn, dispatch)
+        outs_ref, aux_ref = runs["sequential"]
+        for form in ("threaded", "vectorized"):
+            outs, aux = runs[form]
+            for a, b in zip(outs, outs_ref):
+                np.testing.assert_array_equal(a, b, err_msg=form)
+            assert aux == aux_ref, form
 
     @pytest.mark.parametrize("attn,ffn,dispatch", [
         ("sp", "ep", "ag_rs"), ("sp", "tp", "a2a"),
     ])
     def test_forward_bitwise_fp8(self, tiny_config, layer_input, attn,
                                  ffn, dispatch):
-        _, legacy = make_engine(tiny_config, attn, ffn, dispatch,
-                                fp8=True)
-        outs_ref, _ = legacy.forward(
-            shard_sequence(layer_input, RANKS), SEQ)
-
-        _, engine = make_engine(tiny_config, attn, ffn, dispatch,
-                                fp8=True)
-        program = make_program(tiny_config, attn, ffn, dispatch)
-        outs, _ = engine.forward(shard_sequence(layer_input, RANKS),
-                                 SEQ, dag_program=program)
-        for a, b in zip(outs, outs_ref):
-            np.testing.assert_array_equal(a.data, b.data)
+        runs = run_forms(tiny_config, layer_input, attn, ffn, dispatch,
+                         fp8=True)
+        outs_ref, _ = runs["sequential"]
+        for form in ("threaded", "vectorized"):
+            for a, b in zip(runs[form][0], outs_ref):
+                np.testing.assert_array_equal(a, b, err_msg=form)
 
     def test_threaded_dag_matches_sequential_dag(self, tiny_config,
                                                  layer_input):
@@ -334,37 +343,16 @@ class TestSpanCalibration:
                 cal.measured)
 
 
-class TestBackendResolution:
-    def test_default_is_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend() == "engine"
-
-    def test_env_selects_dag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "dag")
-        assert resolve_backend() == "dag"
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "dag")
-        assert resolve_backend("engine") == "engine"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("cuda-graphs")
-
-    def test_train_config_validates_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=SEQ, backend="cuda-graphs")
-
-
 class TestTrainerBackend:
-    def run_steps(self, tiny_config, backend, execution="sequential"):
+    """Whole training steps through the DAG executor: every execution
+    form trains bitwise-identically to the sequential walk."""
+
+    def run_steps(self, tiny_config, execution="sequential"):
         model = MoETransformer(tiny_config, seed=0, dtype=np.float64)
         world = World(RANKS, RANKS)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                             seq_len=tiny_config.seq_len,
-                            learning_rate=1e-2, backend=backend,
-                            execution=execution)
+                            learning_rate=1e-2, execution=execution)
         trainer = MegaScaleTrainer(model, world,
                                    ParallelConfig.megascale(RANKS),
                                    train)
@@ -380,21 +368,20 @@ class TestTrainerBackend:
         return losses, params, trainer
 
     def test_dag_backend_trains_bitwise_identically(self, tiny_config):
-        ref_losses, ref_params, _ = self.run_steps(tiny_config,
-                                                   "engine")
-        losses, params, trainer = self.run_steps(tiny_config, "dag")
+        ref_losses, ref_params, _ = self.run_steps(tiny_config)
+        losses, params, trainer = self.run_steps(tiny_config,
+                                                 execution="vectorized")
         assert losses == ref_losses
         for name in ref_params:
             np.testing.assert_array_equal(params[name],
                                           ref_params[name])
-        assert trainer.backend == "dag"
+        program = trainer.dag_program_for(tiny_config.seq_len)
         for engine in trainer.engines:
-            assert engine.last_executed_ops is not None
+            assert engine.last_executed_ops == program.order
 
     def test_threaded_dag_backend_bitwise(self, tiny_config):
-        ref_losses, ref_params, _ = self.run_steps(tiny_config,
-                                                   "engine")
-        losses, params, _ = self.run_steps(tiny_config, "dag",
+        ref_losses, ref_params, _ = self.run_steps(tiny_config)
+        losses, params, _ = self.run_steps(tiny_config,
                                            execution="threaded")
         assert losses == ref_losses
         for name in ref_params:

@@ -4,16 +4,17 @@
 import numpy as np
 import pytest
 
+from conftest import block_engine, make_block
 from repro.comm import World
 from repro.core import MegaScaleTrainer, ModelConfig, ParallelConfig, \
     TrainConfig
 from repro.data import MarkovCorpus, batch_iterator
 from repro.model import MoETransformer
-from repro.model.moe import MoELayer
 from repro.parallel.dist_ops_fp8 import (
     dist_all_gather_fp8,
     dist_reduce_scatter_fp8,
 )
+from repro.parallel import shard_sequence
 from repro.parallel.ep_ffn import EPFFNEngine
 from repro.parallel.tp_ffn import TPFFNEngine
 from repro.precision.optimizer import AdamW
@@ -109,11 +110,16 @@ class TestDistAllGatherFP8:
 
 
 class TestEngineIntegration:
+    """FP8-compressed FFN collectives inside the parallel block."""
+
     def setup_engine(self, Engine, fp8, rng, **kwargs):
-        moe = MoELayer(rng, 16, 24, 8, 2, dtype=np.float64)
-        world = World(4, 4)
-        engine = Engine(world.full_group(), moe, fp8_comm=fp8, **kwargs)
-        return moe, world, engine
+        block = make_block(rng, 16, 4, 1, 24, 8, 2)
+        ffn = "ep" if Engine is EPFFNEngine else "tp"
+        ep_mode = kwargs.get("mode", "adaptive")
+        world, engine = block_engine(block, 4, "sp", ffn,
+                                     ep_mode=ep_mode, fp8_comm=fp8,
+                                     elem_bytes=kwargs.get("elem_bytes"))
+        return block, world, engine
 
     @pytest.mark.parametrize("Engine,kwargs", [
         (EPFFNEngine, {"mode": "ag_rs"}),
@@ -122,18 +128,17 @@ class TestEngineIntegration:
     def test_compressed_output_close(self, Engine, kwargs):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 8, 16))
-        moe_ref = MoELayer(np.random.default_rng(1), 16, 24, 8, 2,
-                           dtype=np.float64)
-        ref = moe_ref(Tensor(x)).hidden.data
-
-        moe, world, engine = self.setup_engine(
+        block, world, engine = self.setup_engine(
             Engine, True, np.random.default_rng(1), **kwargs)
-        shards = [Tensor(x[:, r * 2:(r + 1) * 2].copy())
-                  for r in range(4)]
-        result = engine.forward(shards)
-        outs = (result.output_shards if hasattr(result, "output_shards")
-                else result[0])
-        full = np.concatenate([o.data for o in outs], axis=1)
+        assert engine.ffn_engine.fp8_comm
+        # The FFN's contribution: block output minus the (uncompressed,
+        # exact) attention residual the reference block computes.
+        xt = Tensor(x)
+        residual = (xt + block.attn(block.ln1(xt))).data
+        ref = block(xt)[0].data - residual
+
+        outs, _ = engine.forward(shard_sequence(x, 4), 8)
+        full = np.concatenate([o.data for o in outs], axis=1) - residual
         rel = np.abs(full - ref) / (np.abs(ref) + 1e-3)
         assert np.median(rel) < 0.15
 
@@ -142,16 +147,14 @@ class TestEngineIntegration:
         x = rng.standard_normal((2, 8, 16))
         totals = {}
         for fp8 in (False, True):
-            moe, world, engine = self.setup_engine(
-                TPFFNEngine, fp8, np.random.default_rng(3))
-            if not fp8:
-                engine.elem_bytes = 2.0
-            shards = [Tensor(x[:, r * 2:(r + 1) * 2].copy())
-                      for r in range(4)]
-            engine.forward(shards)
+            _, world, engine = self.setup_engine(
+                TPFFNEngine, fp8, np.random.default_rng(3),
+                elem_bytes=None if fp8 else 2.0)
+            engine.forward(shard_sequence(x, 4), 8)
             totals[fp8] = sum(
                 r.total_bytes for r in world.ledger.records
-                if not r.tag.endswith(":bwd"))
+                if r.tag.startswith("tp_ffn")
+                and not r.tag.endswith(":bwd"))
         # FP8 payload is half of BF16 plus per-token FP32 scales.
         assert totals[True] < 0.75 * totals[False]
 

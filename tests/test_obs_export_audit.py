@@ -10,8 +10,8 @@ from repro.core.analysis import (
     sp_attention_comm_volume,
     tp_attention_comm_volume,
 )
-from repro.model.layers import SelfAttention
-from repro.model.moe import MoELayer
+from repro.core.config import ModelConfig
+from repro.model.transformer import TransformerBlock
 from repro.obs import (
     Tracer,
     audit_comm_volumes,
@@ -20,9 +20,7 @@ from repro.obs import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.parallel.ep_ffn import EPFFNEngine
-from repro.parallel.sp_attention import SPAttentionEngine
-from repro.parallel.tp_attention import TPAttentionEngine
+from repro.parallel import ParallelBlockEngine
 from repro.tensor import Tensor
 
 B, S, H, FH, E, K, N, M = 2, 16, 32, 48, 8, 2, 4, 2
@@ -43,22 +41,30 @@ def shard(x, n):
             for r in range(n)]
 
 
+#: Block strategies (attention, ffn) exercising each engine kind.
+STRATEGIES = {"sp_attn": ("sp", "ep"), "tp_attn": ("tp", "tp"),
+              "ep_ffn": ("sp", "ep")}
+
+
+def make_engine(world, kind, mode="ag_rs"):
+    """A parallel block whose layer runs the ``kind`` engine."""
+    config = ModelConfig("audit", n_layers=1, hidden_size=H, n_heads=8,
+                         gqa_ratio=M, ffn_hidden_size=FH, n_experts=E,
+                         top_k=K)
+    block = TransformerBlock(np.random.default_rng(0), config,
+                             dtype=np.float64)
+    attention, ffn = STRATEGIES[kind]
+    return ParallelBlockEngine(world.full_group(), block, attention,
+                               ffn, ep_mode=mode)
+
+
 def run_engine(kind, tracer=None, mode="ag_rs"):
-    """One forward pass of a parallel engine on a fresh world."""
-    rng = np.random.default_rng(0)
+    """One forward pass of a parallel block on a fresh world."""
     world = World(N, N)
     if tracer is not None:
         world.attach_tracer(tracer)
-    x = rng.standard_normal((B, S, H))
-    if kind in ("sp_attn", "tp_attn"):
-        attn = SelfAttention(rng, H, 8, M, dtype=np.float64)
-        cls = SPAttentionEngine if kind == "sp_attn" else TPAttentionEngine
-        engine = cls(world.full_group(), attn)
-        engine.forward(shard(x, N), S)
-    else:
-        moe = MoELayer(rng, H, FH, E, K, dtype=np.float64)
-        engine = EPFFNEngine(world.full_group(), moe, mode=mode)
-        engine.forward(shard(x, N))
+    x = np.random.default_rng(0).standard_normal((B, S, H))
+    make_engine(world, kind, mode).forward(shard(x, N), S)
     return world
 
 
@@ -163,8 +169,9 @@ class TestAudit:
         world = run_engine("sp_attn")
         # The auditor reads the rotation-proof cumulative counters, so
         # that is where a byte-accounting bug would surface.
-        for agg in world.ledger.cumulative.values():
-            agg["total_bytes"] *= 1.5
+        for (_, tag), agg in world.ledger.cumulative.items():
+            if tag.startswith("sp_attn"):
+                agg["total_bytes"] *= 1.5
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
                                     m=M, k=K)
         assert not report.ok
@@ -178,9 +185,7 @@ class TestAudit:
 
         def run(max_records):
             world = World(N, N, max_ledger_records=max_records)
-            attn = SelfAttention(np.random.default_rng(0), H, 8, M,
-                                 dtype=np.float64)
-            engine = SPAttentionEngine(world.full_group(), attn)
+            engine = make_engine(world, "sp_attn")
             x = np.random.default_rng(1).standard_normal((B, S, H))
             for _ in range(passes):
                 engine.forward(shard(x, N), S)
@@ -213,7 +218,9 @@ class TestAudit:
         world = run_engine("sp_attn")
         report = audit_comm_volumes(world.ledger, b=B, s=S, h=H, n=N,
                                     m=M, k=K)
-        assert {e.mechanism for e in report.entries} == {"sp_attention"}
+        # The block's SP attention and AG/RS EP FFN; no TP mechanism.
+        assert {e.mechanism for e in report.entries} == {
+            "sp_attention", "ep_ffn_ag_rs"}
 
     def test_empty_source_not_ok(self):
         report = audit_comm_volumes([], b=B, s=S, h=H, n=N, m=M, k=K)

@@ -271,19 +271,20 @@ class TestBoundedLedger:
 
     def test_bounded_ledger_under_training(self):
         # A real traced engine run stays exact under aggressive rotation.
-        from repro.model.moe import MoELayer
-        from repro.parallel.ep_ffn import EPFFNEngine
+        from conftest import make_block
+        from repro.parallel import ParallelBlockEngine
         from repro.tensor import Tensor
 
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 16, 32))
 
         def run(world):
-            moe = MoELayer(rng_init, 32, 48, 8, 2, dtype=np.float64)
-            engine = EPFFNEngine(world.full_group(), moe, mode="ag_rs")
+            block = make_block(rng_init, 32, 8, 2, 48, 8, 2)
+            engine = ParallelBlockEngine(world.full_group(), block,
+                                         "sp", "ep", ep_mode="ag_rs")
             shards = [Tensor(x[:, r * 4:(r + 1) * 4].copy())
                       for r in range(4)]
-            engine.forward(shards)
+            engine.forward(shards, 16)
             return world.ledger
 
         rng_init = np.random.default_rng(1)

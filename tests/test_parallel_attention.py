@@ -1,45 +1,26 @@
-"""Equivalence tests: SP and TP attention engines vs. the reference.
+"""Equivalence tests: SP and TP attention inside the parallel block.
 
 The central correctness property of §3.1: both parallel attention
-implementations must produce *exactly* the reference module's outputs
-and gradients, while moving the Eq. 1 / Eq. 2 communication volumes.
+implementations must produce the reference outputs and gradients —
+here through the whole :class:`~repro.parallel.ParallelBlockEngine`
+layer against the single-rank :class:`TransformerBlock` — while moving
+the Eq. 1 / Eq. 2 communication volumes.
 """
 
 import numpy as np
 import pytest
 
+from conftest import block_engine, block_parallel, block_reference, \
+    make_block
 from repro.comm import World
 from repro.core.analysis import (
     sp_attention_comm_volume,
     tp_attention_comm_volume,
 )
 from repro.model.layers import SelfAttention
+from repro.parallel import shard_sequence
 from repro.parallel.sp_attention import SPAttentionEngine
 from repro.parallel.tp_attention import TPAttentionEngine
-from repro.tensor import Tensor
-
-
-def run_reference(rng, attn, x):
-    xt = Tensor(x, requires_grad=True)
-    out = attn(xt)
-    g = rng.standard_normal(out.shape)
-    out.backward(g)
-    result = {
-        "out": out.data.copy(),
-        "dx": xt.grad.copy(),
-        "d_qkv": attn.qkv_proj.weight.grad.copy(),
-        "d_out": attn.out_proj.weight.grad.copy(),
-        "g": g,
-    }
-    attn.zero_grad()
-    return result
-
-
-def shard_seq(x, n):
-    s = x.shape[1]
-    return [Tensor(x[:, r * s // n:(r + 1) * s // n].copy(),
-                   requires_grad=True) for r in range(n)]
-
 
 CONFIGS = [
     # (batch, seq, hidden, heads, gqa_ratio, n_ranks)
@@ -50,30 +31,46 @@ CONFIGS = [
 ]
 
 
+def attention_block(rng, h, nh, m):
+    """A block whose FFN (8 experts, EP) divides every rank count."""
+    return make_block(rng, h, nh, m, ffn_hidden=16, experts=8, top_k=2)
+
+
+def forward_bytes(world, prefix):
+    """Forward ledger bytes of one engine's tags, in float64 elements."""
+    return sum(
+        r.total_bytes for r in world.ledger.records
+        if r.tag.startswith(prefix) and not r.tag.endswith(":bwd")
+    ) / 8.0
+
+
+def matches_reference(seed, b, s, h, nh, m, n, attention):
+    rng = np.random.default_rng(seed)
+    block = attention_block(rng, h, nh, m)
+    x = rng.standard_normal((b, s, h))
+    g = rng.standard_normal((b, s, h))
+    ref = block_reference(block, x, g)
+
+    _, engine = block_engine(block, n, attention)
+    outs, _, shards = block_parallel(engine, x, g)
+    full = np.concatenate([o.data for o in outs], axis=1)
+    np.testing.assert_allclose(full, ref["out"], atol=1e-10)
+    dx = np.concatenate([sh.grad for sh in shards], axis=1)
+    np.testing.assert_allclose(dx, ref["dx"], atol=1e-10)
+    return block, engine, ref
+
+
 class TestSPAttention:
     @pytest.mark.parametrize("b,s,h,nh,m,n", CONFIGS)
     def test_matches_reference(self, b, s, h, nh, m, n):
-        rng = np.random.default_rng(b * 100 + s)
-        attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
-        x = rng.standard_normal((b, s, h))
-        ref = run_reference(rng, attn, x)
-
-        world = World(n, n)
-        engine = SPAttentionEngine(world.full_group(), attn)
-        shards = shard_seq(x, n)
-        outs = engine.forward(shards, s)
-        full = np.concatenate([o.data for o in outs], axis=1)
-        np.testing.assert_allclose(full, ref["out"], atol=1e-10)
-
-        w = s // n
-        for r, out in enumerate(outs):
-            out.backward(ref["g"][:, r * w:(r + 1) * w])
-        dx = np.concatenate([sh.grad for sh in shards], axis=1)
-        np.testing.assert_allclose(dx, ref["dx"], atol=1e-10)
-        np.testing.assert_allclose(attn.qkv_proj.weight.grad,
-                                   ref["d_qkv"], atol=1e-10)
-        np.testing.assert_allclose(attn.out_proj.weight.grad,
-                                   ref["d_out"], atol=1e-10)
+        block, _, ref = matches_reference(b * 100 + s, b, s, h, nh, m,
+                                          n, "sp")
+        np.testing.assert_allclose(block.attn.qkv_proj.weight.grad,
+                                   ref["grads"]["attn.qkv_proj.weight"],
+                                   atol=1e-10)
+        np.testing.assert_allclose(block.attn.out_proj.weight.grad,
+                                   ref["grads"]["attn.out_proj.weight"],
+                                   atol=1e-10)
 
     def test_head_divisibility_required(self, rng):
         attn = SelfAttention(rng, 16, 8, 2)  # 4 kv heads
@@ -85,26 +82,18 @@ class TestSPAttention:
         """The measured per-pass A2A volume equals Eq. 2 / 2: the
         paper's Eq. 2 counts both directions of each all-to-all."""
         b, s, h, nh, m, n = 2, 8, 16, 8, 2, 4
-        attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
-        world = World(n, n)
-        engine = SPAttentionEngine(world.full_group(), attn)
-        world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n), s)
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("sp_attn") and not r.tag.endswith(":bwd")
-        ) / 8.0  # float64 elements
+        world, engine = block_engine(attention_block(rng, h, nh, m), n)
+        engine.forward(shard_sequence(rng.standard_normal((b, s, h)), n),
+                       s)
+        measured = forward_bytes(world, "sp_attn")
         formula_total = sp_attention_comm_volume(b, s, h, n, m) * n
         assert measured == pytest.approx(formula_total / 2.0)
 
     def test_backward_volume_equals_forward(self, rng):
         b, s, h, nh, m, n = 2, 8, 16, 8, 2, 4
-        attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
-        world = World(n, n)
-        engine = SPAttentionEngine(world.full_group(), attn)
+        world, engine = block_engine(attention_block(rng, h, nh, m), n)
         x = rng.standard_normal((b, s, h))
-        shards = shard_seq(x, n)
-        outs = engine.forward(shards, s)
+        outs, _ = engine.forward(shard_sequence(x, n), s)
         # Single backward sweep (as a real combined loss would produce);
         # per-shard sweeps would re-traverse shared ancestors and
         # multiply the ledger's :bwd entries.
@@ -129,10 +118,8 @@ class TestSPAttention:
             assert sp < tp
 
     def test_bad_shard_seq(self, rng):
-        attn = SelfAttention(rng, 16, 8, 2, dtype=np.float64)
-        world = World(4, 4)
-        engine = SPAttentionEngine(world.full_group(), attn)
-        shards = shard_seq(rng.standard_normal((1, 8, 16)), 4)
+        _, engine = block_engine(attention_block(rng, 16, 8, 2), 4)
+        shards = shard_sequence(rng.standard_normal((1, 8, 16)), 4)
         with pytest.raises(ValueError, match="expected"):
             engine.forward(shards, 16)  # wrong full seq length
 
@@ -140,39 +127,23 @@ class TestSPAttention:
 class TestTPAttention:
     @pytest.mark.parametrize("b,s,h,nh,m,n", CONFIGS)
     def test_matches_reference(self, b, s, h, nh, m, n):
-        rng = np.random.default_rng(b * 100 + s + 7)
-        attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
-        x = rng.standard_normal((b, s, h))
-        ref = run_reference(rng, attn, x)
-
-        world = World(n, n)
-        engine = TPAttentionEngine(world.full_group(), attn)
-        shards = shard_seq(x, n)
-        outs = engine.forward(shards, s)
-        full = np.concatenate([o.data for o in outs], axis=1)
-        np.testing.assert_allclose(full, ref["out"], atol=1e-10)
-
-        w = s // n
-        for r, out in enumerate(outs):
-            out.backward(ref["g"][:, r * w:(r + 1) * w])
-        dx = np.concatenate([sh.grad for sh in shards], axis=1)
-        np.testing.assert_allclose(dx, ref["dx"], atol=1e-10)
-        d_qkv, d_out = engine.reference_weight_grads()
-        np.testing.assert_allclose(d_qkv, ref["d_qkv"], atol=1e-10)
-        np.testing.assert_allclose(d_out, ref["d_out"], atol=1e-10)
+        _, engine, ref = matches_reference(b * 100 + s + 7, b, s, h, nh,
+                                           m, n, "tp")
+        d_qkv, d_out = engine.attn_engine.reference_weight_grads()
+        np.testing.assert_allclose(d_qkv,
+                                   ref["grads"]["attn.qkv_proj.weight"],
+                                   atol=1e-10)
+        np.testing.assert_allclose(d_out,
+                                   ref["grads"]["attn.out_proj.weight"],
+                                   atol=1e-10)
 
     def test_forward_volume_matches_eq1(self, rng):
         b, s, h, nh, m, n = 2, 8, 16, 8, 2, 4
-        attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
-        world = World(n, n)
-        engine = TPAttentionEngine(world.full_group(), attn)
-        world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n), s)
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("tp_attn") and not r.tag.endswith(":bwd")
-        ) / 8.0
-        assert measured == pytest.approx(
+        world, engine = block_engine(attention_block(rng, h, nh, m), n,
+                                     "tp")
+        engine.forward(shard_sequence(rng.standard_normal((b, s, h)), n),
+                       s)
+        assert forward_bytes(world, "tp_attn") == pytest.approx(
             tp_attention_comm_volume(b, s, h, n) * n)
 
     def test_weight_shards_are_leaves(self, rng):

@@ -1,47 +1,20 @@
-"""Equivalence tests: EP (both dispatch modes) and TP FFN engines."""
+"""Equivalence tests: EP (both dispatch modes) and TP FFN inside the
+parallel block, against the single-rank :class:`TransformerBlock`."""
 
 import numpy as np
 import pytest
 
+from conftest import block_engine, block_parallel, block_reference, \
+    make_block
 from repro.comm import World
 from repro.core.analysis import ep_ffn_comm_volume, tp_ffn_comm_volume
 from repro.model.moe import MoELayer
+from repro.parallel import shard_sequence
 from repro.parallel.ep_ffn import (
     EPFFNEngine,
     choose_dispatch_mode,
 )
 from repro.parallel.tp_ffn import TPFFNEngine
-from repro.tensor import Tensor
-
-
-def run_reference(rng, moe, x):
-    xt = Tensor(x, requires_grad=True)
-    out = moe(xt)
-    g = rng.standard_normal(out.hidden.shape)
-    scalar = (out.hidden * Tensor(g)).sum() + out.aux_loss
-    scalar.backward()
-    ref = {
-        "out": out.hidden.data.copy(),
-        "aux": out.aux_loss.item(),
-        "dx": xt.grad.copy(),
-        "d_gate": moe.router.gate.weight.grad.copy(),
-        "d_experts": [
-            {key: getattr(e, key).grad.copy()
-             if getattr(e, key).grad is not None
-             else np.zeros(getattr(e, key).shape)
-             for key in ("fc1", "fc3", "fc2")}
-            for e in moe.experts
-        ],
-        "g": g,
-    }
-    moe.zero_grad()
-    return ref
-
-
-def shard_seq(x, n):
-    s = x.shape[1]
-    return [Tensor(x[:, r * s // n:(r + 1) * s // n].copy(),
-                   requires_grad=True) for r in range(n)]
 
 
 CONFIGS = [
@@ -49,54 +22,60 @@ CONFIGS = [
     (2, 8, 16, 24, 8, 2, 4),
     (1, 16, 8, 12, 4, 1, 2),
     (2, 8, 16, 24, 8, 6, 4),   # top_k > 0.75n: AG/RS territory
-    (1, 8, 8, 16, 8, 3, 8),
+    # 8 ranks: hidden 16 so each rank's one attention head has an even
+    # (RoPE-rotatable) head_dim.
+    (1, 8, 16, 16, 8, 3, 8),
 ]
 
 
-def check_engine_matches(rng, moe, x, engine_factory, n):
-    ref = run_reference(rng, moe, x)
-    world = World(n, n)
-    engine = engine_factory(world.full_group(), moe)
-    shards = shard_seq(x, n)
-    result = engine.forward(shards)
-    if isinstance(result, tuple):  # TP engine
-        outs, aux = result
-    else:
-        outs, aux = result.output_shards, result.aux_loss
+def ffn_block(rng, h, fh, E, k, n):
+    """A block whose SP attention (n heads, one per rank) fits ``n``."""
+    return make_block(rng, h, n, 1, fh, E, k)
+
+
+def forward_bytes(world, prefix):
+    """Forward ledger bytes of one engine's tags, in float64 elements."""
+    return sum(
+        r.total_bytes for r in world.ledger.records
+        if r.tag.startswith(prefix) and not r.tag.endswith(":bwd")
+    ) / 8.0
+
+
+def check_engine_matches(rng, block, x, n, ffn, **kwargs):
+    g = rng.standard_normal(x.shape)
+    ref = block_reference(block, x, g, with_aux=True)
+    world, engine = block_engine(block, n, "sp", ffn, **kwargs)
+    outs, aux, shards = block_parallel(engine, x, g, with_aux=True)
     full = np.concatenate([o.data for o in outs], axis=1)
     np.testing.assert_allclose(full, ref["out"], atol=1e-9)
     assert aux.item() == pytest.approx(ref["aux"], abs=1e-10)
 
-    w = x.shape[1] // n
-    scalar = None
-    for r, out in enumerate(outs):
-        piece = (out * Tensor(ref["g"][:, r * w:(r + 1) * w])).sum()
-        scalar = piece if scalar is None else scalar + piece
-    scalar = scalar + aux
-    scalar.backward()
-
     dx = np.concatenate([sh.grad for sh in shards], axis=1)
     np.testing.assert_allclose(dx, ref["dx"], atol=1e-9)
-    np.testing.assert_allclose(moe.router.gate.weight.grad,
-                               ref["d_gate"], atol=1e-9)
+    np.testing.assert_allclose(block.moe.router.gate.weight.grad,
+                               ref["grads"]["moe.router.gate.weight"],
+                               atol=1e-9)
     return world, engine, ref
+
+
+def expert_ref(ref, e, key):
+    return ref["grads"][f"moe.experts.{e}.{key}"]
 
 
 class TestEPA2A:
     @pytest.mark.parametrize("b,s,h,fh,E,k,n", CONFIGS)
     def test_matches_reference(self, b, s, h, fh, E, k, n):
         rng = np.random.default_rng(b * 10 + s + k)
-        moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
+        block = ffn_block(rng, h, fh, E, k, n)
         x = rng.standard_normal((b, s, h))
         world, engine, ref = check_engine_matches(
-            rng, moe, x,
-            lambda g, m: EPFFNEngine(g, m, mode="a2a"), n)
-        for e, expert in enumerate(moe.experts):
+            rng, block, x, n, "ep", ep_mode="a2a")
+        for e, expert in enumerate(block.moe.experts):
             for key in ("fc1", "fc3", "fc2"):
                 grad = getattr(expert, key).grad
                 if grad is None:
-                    grad = np.zeros(ref["d_experts"][e][key].shape)
-                np.testing.assert_allclose(grad, ref["d_experts"][e][key],
+                    grad = np.zeros(expert_ref(ref, e, key).shape)
+                np.testing.assert_allclose(grad, expert_ref(ref, e, key),
                                            atol=1e-9, err_msg=f"{e}:{key}")
 
     def test_forward_volume_within_hard_bound(self, rng):
@@ -104,15 +83,11 @@ class TestEPA2A:
         (every routed row leaving its rank); Eq. 3 is the expectation
         under uniform routing, approached on average."""
         b, s, h, fh, E, k, n = 2, 16, 16, 24, 8, 2, 4
-        moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
-        world = World(n, n)
-        engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
-        world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n))
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("ep_ffn") and not r.tag.endswith(":bwd")
-        ) / 8.0
+        world, engine = block_engine(ffn_block(rng, h, fh, E, k, n), n,
+                                     ep_mode="a2a")
+        engine.forward(shard_sequence(rng.standard_normal((b, s, h)), n),
+                       s)
+        measured = forward_bytes(world, "ep_ffn")
         hard_bound = 2 * k * b * s * h  # all rows remote, both passes
         assert measured <= hard_bound + 1e-9
 
@@ -120,15 +95,11 @@ class TestEPA2A:
         """Averaged over random routing, the A2A volume approaches Eq. 3."""
         rng = np.random.default_rng(0)
         b, s, h, fh, E, k, n = 4, 32, 16, 24, 8, 2, 4
-        moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
-        world = World(n, n)
-        engine = EPFFNEngine(world.full_group(), moe, mode="a2a")
-        world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n))
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("ep_ffn") and not r.tag.endswith(":bwd")
-        ) / 8.0
+        world, engine = block_engine(ffn_block(rng, h, fh, E, k, n), n,
+                                     ep_mode="a2a")
+        engine.forward(shard_sequence(rng.standard_normal((b, s, h)), n),
+                       s)
+        measured = forward_bytes(world, "ep_ffn")
         bound = ep_ffn_comm_volume(b, s, h, n, k) * n
         assert measured == pytest.approx(bound, rel=0.25)
 
@@ -137,11 +108,9 @@ class TestEPAgRs:
     @pytest.mark.parametrize("b,s,h,fh,E,k,n", CONFIGS)
     def test_matches_reference(self, b, s, h, fh, E, k, n):
         rng = np.random.default_rng(b * 10 + s + k + 1)
-        moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
+        block = ffn_block(rng, h, fh, E, k, n)
         x = rng.standard_normal((b, s, h))
-        check_engine_matches(
-            rng, moe, x,
-            lambda g, m: EPFFNEngine(g, m, mode="ag_rs"), n)
+        check_engine_matches(rng, block, x, n, "ep", ep_mode="ag_rs")
 
     def test_volume_equals_eq4_regardless_of_k(self, rng):
         """AG/RS dispatch volume equals TP's Eq. 4 and is independent of
@@ -149,17 +118,12 @@ class TestEPAgRs:
         b, s, h, n = 2, 8, 16, 4
         volumes = []
         for k in (1, 3, 6):
-            moe = MoELayer(np.random.default_rng(k), h, 24, 8, k,
-                           dtype=np.float64)
-            world = World(n, n)
-            engine = EPFFNEngine(world.full_group(), moe, mode="ag_rs")
-            world.ledger.clear()
-            engine.forward(shard_seq(
-                np.random.default_rng(k).standard_normal((b, s, h)), n))
-            volumes.append(sum(
-                r.total_bytes for r in world.ledger.records
-                if r.tag.startswith("ep_ffn")
-                and not r.tag.endswith(":bwd")) / 8.0)
+            block = ffn_block(np.random.default_rng(k), h, 24, 8, k, n)
+            world, engine = block_engine(block, n, ep_mode="ag_rs")
+            engine.forward(shard_sequence(
+                np.random.default_rng(k).standard_normal((b, s, h)), n),
+                s)
+            volumes.append(forward_bytes(world, "ep_ffn"))
         expected = tp_ffn_comm_volume(b, s, h, n) * n
         for v in volumes:
             assert v == pytest.approx(expected)
@@ -196,28 +160,23 @@ class TestTPFFN:
     @pytest.mark.parametrize("b,s,h,fh,E,k,n", CONFIGS)
     def test_matches_reference(self, b, s, h, fh, E, k, n):
         rng = np.random.default_rng(b * 10 + s + k + 2)
-        moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
+        block = ffn_block(rng, h, fh, E, k, n)
         x = rng.standard_normal((b, s, h))
-        world, engine, ref = check_engine_matches(
-            rng, moe, x, TPFFNEngine, n)
-        grads = engine.reference_weight_grads()
+        world, engine, ref = check_engine_matches(rng, block, x, n, "tp")
+        grads = engine.ffn_engine.reference_weight_grads()
         for e in range(E):
             for key in ("fc1", "fc3", "fc2"):
                 np.testing.assert_allclose(grads[e][key],
-                                           ref["d_experts"][e][key],
+                                           expert_ref(ref, e, key),
                                            atol=1e-9, err_msg=f"{e}:{key}")
 
     def test_volume_matches_eq4(self, rng):
         b, s, h, fh, E, k, n = 2, 8, 16, 24, 8, 2, 4
-        moe = MoELayer(rng, h, fh, E, k, dtype=np.float64)
-        world = World(n, n)
-        engine = TPFFNEngine(world.full_group(), moe)
-        world.ledger.clear()
-        engine.forward(shard_seq(rng.standard_normal((b, s, h)), n))
-        measured = sum(
-            r.total_bytes for r in world.ledger.records
-            if r.tag.startswith("tp_ffn") and not r.tag.endswith(":bwd")
-        ) / 8.0
+        world, engine = block_engine(ffn_block(rng, h, fh, E, k, n), n,
+                                     "sp", "tp")
+        engine.forward(shard_sequence(rng.standard_normal((b, s, h)), n),
+                       s)
+        measured = forward_bytes(world, "tp_ffn")
         assert measured == pytest.approx(tp_ffn_comm_volume(b, s, h, n) * n)
 
     def test_ffn_divisibility_required(self, rng):

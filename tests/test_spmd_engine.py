@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import make_block
 from repro.comm import World
 from repro.comm.rendezvous import Rendezvous, SpmdAbort
 from repro.core.analysis import sp_attention_comm_volume
@@ -19,10 +20,9 @@ from repro.core.config import ModelConfig, ParallelConfig, TrainConfig
 from repro.core.trainer import MegaScaleTrainer
 from repro.ft import FaultPlan
 from repro.model import MoETransformer
-from repro.model.layers import SelfAttention
+from repro.parallel import ParallelBlockEngine
 from repro.parallel.hybrid2d import Hybrid2DTrainer
 from repro.parallel.pp_engine import PipelineParallelTrainer
-from repro.parallel.sp_attention import SPAttentionEngine
 from repro.precision.optimizer import AdamW
 from repro.runtime import (
     SpmdExecutor,
@@ -334,11 +334,11 @@ class TestZeroCopyLedgerAudit:
     def eq2_measured(self, executor=None, plan=None):
         rng = np.random.default_rng(0)
         b, s, h, nh, m, n = 2, 8, 16, 8, 2, 4
-        attn = SelfAttention(rng, h, nh, m, dtype=np.float64)
+        block = make_block(rng, h, nh, m, 16, 8, 2)
         world = World(n, n)
         if plan is not None:
             world.attach_fault_plan(plan)
-        engine = SPAttentionEngine(world.full_group(), attn)
+        engine = ParallelBlockEngine(world.full_group(), block)
         shards = [Tensor(rng.standard_normal((b, s // n, h)),
                          requires_grad=True) for _ in range(n)]
         world.ledger.clear()

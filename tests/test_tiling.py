@@ -63,7 +63,7 @@ def run_training(tile_tokens, execution="sequential", steps=2,
     world.tracer = tracer
     train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                         seq_len=SEQ, execution=execution,
-                        backend="dag", tile_tokens=tile_tokens)
+                        tile_tokens=tile_tokens)
     trainer = MegaScaleTrainer(
         model, world,
         ParallelConfig(RANKS, ep_dispatch=ep_dispatch), train)
@@ -236,15 +236,14 @@ class TestKnobValidation:
     def test_train_config_rejects_bad_widths(self):
         with pytest.raises(ValueError):
             TrainConfig(global_batch_size=2, tile_tokens=0)
-        with pytest.raises(ValueError, match="dag"):
-            TrainConfig(global_batch_size=2, backend="engine",
-                        tile_tokens=2)
+        with pytest.raises(ValueError, match=">= 1"):
+            TrainConfig(global_batch_size=2, tile_tokens=-2)
 
     def test_trainer_rejects_non_divisor_width_at_build(self):
         model = MoETransformer(tiny_model_config(), seed=0,
                                dtype=np.float64)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                            seq_len=SEQ, backend="dag", tile_tokens=3)
+                            seq_len=SEQ, tile_tokens=3)
         trainer = MegaScaleTrainer(model, World(RANKS, RANKS),
                                    ParallelConfig(RANKS), train)
         with pytest.raises(ValueError, match="divisors"):
@@ -255,12 +254,12 @@ class TestKnobValidation:
         model = MoETransformer(tiny_model_config(), seed=0,
                                dtype=np.float64)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                            seq_len=SEQ, backend="dag")
+                            seq_len=SEQ)
         trainer = MegaScaleTrainer(model, World(RANKS, RANKS),
                                    ParallelConfig(RANKS), train)
         assert trainer.tile_tokens == 2
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
-                            seq_len=SEQ, backend="dag", tile_tokens=4)
+                            seq_len=SEQ, tile_tokens=4)
         trainer = MegaScaleTrainer(model, World(RANKS, RANKS),
                                    ParallelConfig(RANKS), train)
         assert trainer.tile_tokens == 4
@@ -275,13 +274,11 @@ class TestKnobValidation:
         assert trainer.dag_program_for(SEQ) is tiled
 
     def test_verify_case_validation_and_id(self):
-        case = VerifyCase(backend="dag", tile_tokens=2)
+        case = VerifyCase(tile_tokens=2)
         assert "tt2" in case.case_id
-        assert case.twin_engine().tile_tokens is None
-        with pytest.raises(ValueError, match="dag"):
-            VerifyCase(tile_tokens=2)
+        assert case.twin_sequential().tile_tokens is None
         with pytest.raises(ValueError, match="divide"):
-            VerifyCase(backend="dag", tile_tokens=3)
+            VerifyCase(tile_tokens=3)
 
 
 class TestSimAndCalibration:

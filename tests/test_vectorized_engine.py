@@ -1,4 +1,4 @@
-"""Vectorized DAG backend: all ranks batched on a leading rank axis.
+"""Vectorized execution: all ranks batched on a leading rank axis.
 
 The contract under test (docs/INTERNALS.md §12): running a layer — or a
 whole training step — with ``execution="vectorized"`` is *bitwise
@@ -83,35 +83,20 @@ class TestA2APermute:
 
 
 # ---------------------------------------------------------------------------
-# Config validation: vectorized execution implies the DAG backend
+# Config: vectorized execution runs through the DAG executor
 
 
 class TestConfigValidation:
-    def test_train_config_rejects_vectorized_engine(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            TrainConfig(global_batch_size=2, micro_batch_size=2,
-                        seq_len=SEQ, execution="vectorized",
-                        backend="engine")
-
-    def test_verify_case_rejects_vectorized_engine(self):
-        # The VerifyCase default backend is "engine", so the execution
-        # alone is not enough — the case must say backend="dag".
-        with pytest.raises(ValueError, match="dag"):
-            VerifyCase(execution="vectorized")
-        with pytest.raises(ValueError, match="dag"):
-            VerifyCase(execution="vectorized", backend="engine")
-
     def test_verify_case_id_and_twin(self):
-        case = VerifyCase(execution="vectorized", backend="dag")
+        case = VerifyCase(execution="vectorized", tile_tokens=2)
         assert "vec" in case.case_id.split("-")
-        assert "dag" in case.case_id.split("-")
-        twin = case.twin_engine()
+        twin = case.twin_sequential()
         assert twin.execution == "sequential"
-        assert twin.backend == "engine"
+        assert twin.tile_tokens is None
 
     def test_trainer_resolves_vectorized_to_dag(self, tiny_config):
-        """With backend=None the trainer upgrades to "dag" — the mode
-        only exists behind the DAG executor's op bindings."""
+        """Vectorized execution only exists behind the DAG executor's
+        op bindings: the trainer runs every layer through them."""
         model = MoETransformer(tiny_config, seed=0)
         train = TrainConfig(global_batch_size=2, micro_batch_size=2,
                             seq_len=tiny_config.seq_len,
@@ -120,15 +105,20 @@ class TestConfigValidation:
             model, World(RANKS, RANKS),
             ParallelConfig(RANKS, attention="sp", ffn="ep"), train)
         assert trainer.execution == "vectorized"
-        assert trainer.backend == "dag"
         assert trainer.executor is None
+        trainer.loss(np.zeros((2, tiny_config.seq_len + 1),
+                              dtype=np.int64))
+        program = trainer.dag_program_for(tiny_config.seq_len)
+        assert all(e.last_executed_ops == program.order
+                   for e in trainer.engines)
 
     @pytest.mark.parametrize("matrix", [smoke_matrix, elastic_matrix])
     def test_matrices_sample_vectorized_on_dag(self, matrix):
         cases = matrix()
         vec = [c for c in cases if c.execution == "vectorized"]
         assert vec, "grid must include vectorized cases"
-        assert all(c.backend == "dag" for c in vec)
+        # Each gets a sequential bitwise twin (``twin_bitwise``).
+        assert all(c.twin_sequential() != c for c in vec)
         assert "vectorized" in SMOKE_EXECUTIONS
 
 
@@ -193,7 +183,7 @@ class TestShuffledTopoVectorized:
 # (bytes *and* record counts) agree across all three execution modes.
 
 
-def _train(execution, backend, attention="sp", ffn="ep",
+def _train(execution, attention="sp", ffn="ep",
            ep_dispatch="a2a", dropout=0.0, precision="bf16",
            steps=2):
     cfg = ModelConfig("vec", 2, 32, 8, 2, 48, 8, 2, vocab_size=64,
@@ -202,7 +192,7 @@ def _train(execution, backend, attention="sp", ffn="ep",
     train = TrainConfig(global_batch_size=4, micro_batch_size=4,
                         seq_len=16, learning_rate=1e-2,
                         aux_loss_coeff=0.01, execution=execution,
-                        backend=backend, dropout=dropout,
+                        dropout=dropout,
                         precision=precision)
     parallel = ParallelConfig(model_parallel_size=RANKS,
                               attention=attention, ffn=ffn,
@@ -227,9 +217,9 @@ class TestThreeModeIdentity:
     ], ids=["sp-ep-a2a", "sp-ep-ag_rs", "tp-tp", "dropout"])
     def test_ledger_and_params_identical(self, kwargs):
         runs = {
-            "sequential": _train("sequential", "engine", **kwargs),
-            "threaded": _train("threaded", "engine", **kwargs),
-            "vectorized": _train("vectorized", None, **kwargs),
+            "sequential": _train("sequential", **kwargs),
+            "threaded": _train("threaded", **kwargs),
+            "vectorized": _train("vectorized", **kwargs),
         }
         base_losses, base_params, base_bytes, base_counts = \
             runs["sequential"]
@@ -258,28 +248,19 @@ class TestFuzzerVectorized:
         cases = [sample_case(rng) for _ in range(60)]
         vec = [c for c in cases if c.execution == "vectorized"]
         assert vec, "sampler must cover the vectorized mode"
-        assert all(c.backend == "dag" for c in vec)
 
     def test_shrink_moves_vectorized_toward_sequential(self):
-        case = VerifyCase(execution="vectorized", backend="dag",
-                          steps=2, layers=2)
+        case = VerifyCase(execution="vectorized", steps=2, layers=2)
         # An always-failing predicate: the shrinker should reach the
         # global minimum, which runs on the plainest stack there is.
         minimal = shrink(case, lambda c: True)
         assert minimal.execution == "sequential"
-        assert minimal.backend == "engine"
         assert minimal.ranks == 1
         assert minimal.layers == 1
         assert minimal.steps == 1
 
     def test_shrink_candidates_stay_valid(self):
-        case = VerifyCase(execution="vectorized", backend="dag",
-                          dropout=0.1, steps=2)
+        case = VerifyCase(execution="vectorized", dropout=0.1, steps=2)
         candidates = list(_shrink_candidates(case))
         assert candidates, "a non-minimal case must have neighbors"
-        # Construction already validated them; check the key joint
-        # constraint explicitly all the same.
-        for cand in candidates:
-            assert not (cand.execution == "vectorized"
-                        and cand.backend != "dag")
         assert any(c.execution == "sequential" for c in candidates)

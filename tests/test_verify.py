@@ -90,13 +90,9 @@ class TestVerifyCase:
         assert {c.ep_dispatch for c in cases} == {"a2a", "ag_rs"}
         assert {c.precision for c in cases} == {"fp32", "fp8"}
         assert len({c.case_id for c in cases}) == 18
-        # Vectorized execution only exists in the DAG executor.
-        assert all(c.backend == "dag" for c in cases
-                   if c.execution == "vectorized")
-        # One tiled (§4.2) DAG leg per execution × dispatch.
+        # One tiled (§4.2) leg per execution × dispatch.
         tiled = [c for c in cases if c.tile_tokens is not None]
         assert len(tiled) == 6
-        assert all(c.backend == "dag" for c in tiled)
         assert {(c.execution, c.ep_dispatch) for c in tiled} == {
             (e, d) for e in ("sequential", "threaded", "vectorized")
             for d in ("a2a", "ag_rs")
@@ -107,7 +103,8 @@ class TestRegistry:
     def test_builtin_invariants_present(self):
         names = [i.name for i in registered_invariants()]
         for expected in ("finiteness", "golden_loss", "golden_grads",
-                         "golden_params", "threaded_bitwise",
+                         "golden_params", "twin_bitwise",
+                         "dag_schedule_conformance",
                          "token_conservation", "router_mass",
                          "comm_audit"):
             assert expected in names
@@ -134,8 +131,10 @@ class TestRegistry:
             del inv._REGISTRY["always_green"]
 
     def test_applies_gates_to_skip(self):
-        result = run_case(small_case())  # sequential
-        assert result.outcome("threaded_bitwise").status == "skip"
+        result = run_case(small_case())  # sequential, untiled
+        assert result.outcome("twin_bitwise").status == "skip"
+        assert result.outcome("dag_schedule_conformance").status == \
+            "pass"
         # fp8-only skip: golden params checked for uncompressed comm
         assert result.outcome("golden_params").status == "pass"
         fp8 = run_case(small_case(precision="fp8",
@@ -152,7 +151,7 @@ class TestConformance:
         assert result.ok, [f.detail for f in result.failures()]
         assert result.outcome("golden_loss").status == "pass"
         if execution == "threaded":
-            assert result.outcome("threaded_bitwise").status == "pass"
+            assert result.outcome("twin_bitwise").status == "pass"
 
     def test_single_rank_case_conforms(self):
         result = run_case(small_case(ranks=1, experts=1, seq=4))
@@ -165,7 +164,7 @@ class TestConformance:
                                      steps=2))
         assert result.ok, [f.detail for f in result.failures()]
         assert result.outcome("golden_loss").status == "skip"
-        assert result.outcome("threaded_bitwise").status == "pass"
+        assert result.outcome("twin_bitwise").status == "pass"
 
     def test_report_render(self):
         report = run_matrix([small_case(), small_case(seed=3)])
@@ -188,7 +187,20 @@ class TestInjectedViolations:
         hurt = run_case(case, world_setup=corrupting_world_setup(seed=0))
         assert not hurt.ok
         failing = {f.name for f in hurt.failures()}
-        assert "threaded_bitwise" in failing
+        assert "twin_bitwise" in failing
+
+    @pytest.mark.parametrize("changes", [
+        dict(execution="vectorized"),
+        dict(seq=8, tile_tokens=2),
+    ], ids=["vectorized", "tiled"])
+    def test_bitflip_breaks_twin_identity(self, changes):
+        """The one bitwise twin covers the non-threaded forms too: a
+        corrupted vectorized or tiled run differs from its clean
+        sequential untiled twin."""
+        case = small_case(**changes)
+        assert run_case(case).ok
+        hurt = run_case(case, world_setup=corrupting_world_setup(seed=0))
+        assert "twin_bitwise" in {f.name for f in hurt.failures()}
 
     def test_bitflip_caught_by_golden_on_sequential(self):
         hurt = run_case(small_case(),
