@@ -327,6 +327,43 @@ def causal_mask(sq: int, sk: int) -> np.ndarray:
     return mask
 
 
+#: Query rows per slab of :func:`attention`.  At the long-context shape
+#: (2 heads x 512 keys, float64) a slab is 512 KB, so the elementwise
+#: passes over it run in L2.
+ATTENTION_SLAB_ROWS = 64
+
+#: ``((r0, r1, s0, e), ...)``: query rows ``r0:r1`` of a slab, every one
+#: of which keeps keys ``:s0`` and none of which keeps keys ``e:``; and
+#: whether some row keeps no key at all (the plain-``exp`` fallback).
+_SlabPlan = Tuple[Tuple[Tuple[int, int, int, int], ...], bool]
+
+
+def _slab_plan(mask: Optional[np.ndarray], sq: int, sk: int) -> _SlabPlan:
+    """Split ``sq`` query rows into slabs and bound the band of keys
+    ``s0:e`` in which a slab's mask varies."""
+    spans = [(r0, min(r0 + ATTENTION_SLAB_ROWS, sq))
+             for r0 in range(0, sq, ATTENTION_SLAB_ROWS)]
+    if mask is None:
+        return tuple((r0, r1, sk, sk) for r0, r1 in spans), False
+    if mask.shape != (sq, sk):
+        raise ValueError(f"mask shape {mask.shape} is not [sq, sk] = "
+                         f"{[sq, sk]}")
+    kept = ~mask
+    if not kept.any(axis=-1).all():
+        return tuple((r0, r1, 0, sk) for r0, r1 in spans), True
+    starts = np.where(mask.any(axis=-1), np.argmax(mask, axis=-1), sk)
+    ends = sk - np.argmax(kept[:, ::-1], axis=-1)  # last kept key + 1
+    return tuple((r0, r1, int(starts[r0:r1].min()), int(ends[r0:r1].max()))
+                 for r0, r1 in spans), False
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_slab_plan(sq: int, sk: int, causal: bool) -> _SlabPlan:
+    """:func:`_slab_plan` of no mask or of the cached :func:`causal_mask`,
+    so that the common calls scan no mask."""
+    return _slab_plan(causal_mask(sq, sk) if causal else None, sq, sk)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor,
               mask: Optional[np.ndarray] = None) -> Tensor:
     """Fused scaled-dot-product attention on ``[..., heads, seq, dim]``.
@@ -336,11 +373,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     ``m``), each KV head serves ``m`` query heads — the grouped-query
     pattern the paper's SP-communication formula (Eq. 2) exploits.
 
-    One tape node and one ``S x S`` buffer, worked in place.  Forward
-    and VJP make the BLAS calls and elementwise ops of the unfused chain
-    (repeat KV heads, ``q @ kᵀ``, scale, mask fill with -1e30, softmax,
-    ``@ v``) on the same operands and layouts, so output and gradients
-    are bit-for-bit those of the chain (docs/INTERNALS.md §1).
+    One tape node.  Output and gradients are bit-for-bit those of the
+    unfused chain (repeat KV heads, ``q @ kᵀ``, scale, mask fill with
+    -1e30, softmax, ``@ v``; docs/INTERNALS.md §1).  The GEMMs are the
+    chain's, each over the whole buffer: a row block of a BLAS product
+    can round differently from the same rows of the whole product.  The
+    elementwise work between them walks the query rows in slabs of
+    :data:`ATTENTION_SLAB_ROWS` that stay in cache.  A slab computes up
+    to its last kept key, writes zeros past it and touches the mask only
+    in the band of keys where it varies.  Row sums still span every key,
+    because numpy's pairwise sum rounds by row length.
     """
     hq, hk = q.shape[-3], k.shape[-3]
     if hq % hk != 0:
@@ -350,21 +392,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     if m > 1:
         kd = np.repeat(kd, m, axis=-3)
         vd = np.repeat(vd, m, axis=-3)
+    sq, sk = qd.shape[-2], kd.shape[-2]
+    if mask is None or mask is causal_mask(sq, sk):
+        slabs, fallback = _shared_slab_plan(sq, sk, mask is not None)
+    else:
+        slabs, fallback = _slab_plan(mask, sq, sk)
     probs = qd @ kd.swapaxes(-1, -2)
     scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=probs.dtype)
-    probs *= scale
-    if mask is not None:
-        np.copyto(probs, -1e30, where=mask)
-    probs -= probs.max(axis=-1, keepdims=True)
-    if mask is not None and not mask.all(axis=-1).any():
-        # Every row keeps a key, so exp(-1e30 - max) underflows to +0.0
-        # for each masked entry; skip numpy's slow underflow path.
-        np.copyto(probs, 0.0, where=mask)
-        np.exp(probs, out=probs)
-        probs *= ~mask
-    else:
-        np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    for r0, r1, s0, e in slabs:
+        rows = probs[..., r0:r1, :]
+        work = rows[..., :e]
+        work *= scale
+        if s0 < e:
+            band, masked = work[..., s0:], mask[r0:r1, s0:e]
+            np.copyto(band, -1e30, where=masked)
+        work -= work.max(axis=-1, keepdims=True)
+        if s0 < e and not fallback:
+            # Every row keeps a key, so exp(-1e30 - max) underflows to
+            # +0.0 for each masked entry; skip numpy's slow underflow path.
+            np.copyto(band, 0.0, where=masked)
+            np.exp(work, out=work)
+            np.copyto(band, 0.0, where=masked)
+        else:
+            np.exp(work, out=work)
+        rows[..., e:] = 0.0
+        rows /= rows.sum(axis=-1, keepdims=True)
     out = probs @ vd
 
     def backward(g):
@@ -375,11 +427,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
                 gv = _fold_heads(gv, m)
         if q.requires_grad or k.requires_grad:
             gs = g @ vd.swapaxes(-1, -2)
-            gs -= (gs * probs).sum(axis=-1, keepdims=True)
-            gs *= probs
-            if mask is not None:
-                np.copyto(gs, 0.0, where=mask)
-            gs *= scale
+            prod = np.empty_like(gs[..., :ATTENTION_SLAB_ROWS, :])
+            for r0, r1, s0, e in slabs:
+                rows = gs[..., r0:r1, :]
+                p = probs[..., r0:r1, :]
+                work = rows[..., :e]
+                dot = np.multiply(rows, p, out=prod[..., :r1 - r0, :])
+                work -= dot.sum(axis=-1, keepdims=True)
+                work *= p[..., :e]
+                if s0 < e:
+                    np.copyto(work[..., s0:], 0.0, where=mask[r0:r1, s0:e])
+                work *= scale
+                rows[..., e:] = 0.0
             if q.requires_grad:
                 gq = gs @ kd
             if k.requires_grad:

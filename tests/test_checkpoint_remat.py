@@ -95,14 +95,15 @@ class TestMemoryEfficientAttention:
         np.testing.assert_allclose(grads[True][1], grads[False][1],
                                    atol=1e-12)
 
-    def test_scores_not_retained(self, rng):
+    @pytest.mark.parametrize("s", [32, 130])
+    def test_scores_not_retained(self, rng, s):
         """The s×s probability matrix must not live on the tape.
 
         The memory-efficient path keeps no ``[b, h, s, s]`` array; the
         standard path keeps exactly one (the fused kernel's
-        probabilities, which its VJP needs).
+        probabilities, which its VJP needs) and, at 130 rows (three
+        slabs), no per-slab ``[b, h, rows < s, ...]`` work buffer.
         """
-        s = 32
         x = rng.standard_normal((1, s, 16))
         scores, sizes = {}, {}
         for eff in (False, True):
@@ -113,6 +114,8 @@ class TestMemoryEfficientAttention:
             params = [p.data for p in attn.parameters()]
             saved = tape_saved_arrays(out, exclude=params)
             scores[eff] = [a for a in saved if a.shape == (1, 4, s, s)]
+            assert [a for a in saved if a.ndim == 4
+                    and a.shape[:2] == (1, 4) and a.shape[2] < s] == []
             sizes[eff] = tape_live_bytes(out, exclude=params)
         assert len(scores[False]) == 1
         assert scores[True] == []

@@ -38,9 +38,13 @@ def chain_attention(q, k, v, mask):
     return ops.softmax(scores, axis=-1) @ v
 
 
-def run(kernel, lead, hq, hk, sq, sk, dtype, mask, seed=0):
+def run(kernel, lead, hq, hk, sq, sk, dtype, mask, seed=0,
+        zero_g_rows=()):
     """Forward + backward of ``kernel`` on head-transposed views of
-    ``[..., seq, heads, dim]`` leaves (the layout the model feeds)."""
+    ``[..., seq, heads, dim]`` leaves (the layout the model feeds).
+
+    ``zero_g_rows`` query rows get an all-zero upstream gradient,
+    alternately ``+0.0`` and ``-0.0``."""
     rng = np.random.default_rng(seed)
     d = 8
     n = len(lead)
@@ -53,14 +57,17 @@ def run(kernel, lead, hq, hk, sq, sk, dtype, mask, seed=0):
     q, k, v = (t.transpose(*perm) for t in leaves)
     out = kernel(q, k, v, mask)
     g = rng.standard_normal(out.shape).astype(dtype)
+    for i, row in enumerate(zero_g_rows):
+        g[..., row, :] = -0.0 if i % 2 else 0.0
     out.backward(g)
     return out.data, [t.grad for t in leaves]
 
 
-def assert_bitwise(lead, hq, hk, sq, sk, dtype, mask):
+def assert_bitwise(lead, hq, hk, sq, sk, dtype, mask, zero_g_rows=()):
     ref_out, ref_grads = run(chain_attention, lead, hq, hk, sq, sk,
-                             dtype, mask)
-    out, grads = run(ops.attention, lead, hq, hk, sq, sk, dtype, mask)
+                             dtype, mask, zero_g_rows=zero_g_rows)
+    out, grads = run(ops.attention, lead, hq, hk, sq, sk, dtype, mask,
+                     zero_g_rows=zero_g_rows)
     assert out.dtype == ref_out.dtype
     assert out.tobytes() == ref_out.tobytes()
     for name, a, b in zip("qkv", grads, ref_grads):
@@ -131,6 +138,96 @@ class TestAttentionBitwise:
         assert not mask.flags.writeable
         np.testing.assert_array_equal(
             mask, np.triu(np.ones((5, 7), dtype=bool), k=1))
+
+
+class TestAttentionSlabs:
+    """Shapes of more than one slab of ``ops.ATTENTION_SLAB_ROWS`` query
+    rows: slab edges, the skipped masked triangle and the full-width row
+    sums must all leave the chain's bytes.  193 and 300 keys are shapes
+    where row-slabbing the ``q @ kᵀ`` or ``g @ vᵀ`` GEMM itself changes
+    bits on OpenBLAS (tail columns past the last multiple of 8)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("lead", [(2,), (1, 2)], ids=["4d", "5d"])
+    @pytest.mark.parametrize("masking", ["causal", "none"])
+    @pytest.mark.parametrize("s", [63, 64, 65, 129, 192, 193, 200, 300,
+                                   512])
+    def test_square(self, s, masking, lead, m, dtype):
+        mask = ops.causal_mask(s, s) if masking == "causal" else None
+        assert_bitwise(lead, 4, 4 // m, s, s, dtype, mask)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("sq", [64, 130, 256])
+    def test_cp_positions(self, sq, m, dtype):
+        assert_bitwise((2,), 4, 4 // m, sq, 2 * sq, dtype,
+                       cp_mask(sq, 2 * sq))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sq, sk", [(100, 300), (193, 300)])
+    def test_non_square_causal(self, sq, sk, dtype):
+        assert_bitwise((2,), 4, 2, sq, sk, dtype, ops.causal_mask(sq, sk))
+
+    def test_serving_decode(self):
+        """Serving's decode call: one query, no mask, a long cache."""
+        assert_bitwise((1,), 4, 2, 1, 300, np.float64, None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fully_masked_row_fallback(self, dtype, m):
+        mask = np.array(ops.causal_mask(200, 200))
+        mask[150] = True
+        assert_bitwise((2,), 4, 4 // m, 200, 200, dtype, mask)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masking", ["causal", "none"])
+    def test_zero_gradient_rows(self, masking, dtype):
+        """Signed zeros flow through the row-dot ``(gs · probs).sum``."""
+        mask = ops.causal_mask(130, 130) if masking == "causal" else None
+        assert_bitwise((2,), 4, 2, 130, 130, dtype, mask,
+                       zero_g_rows=(0, 5, 64, 65, 129))
+
+    def test_plan(self):
+        """Causal slabs keep keys ``:r0 + 1`` in every row and none past
+        their last row; a fully masked row sends every slab whole."""
+        rows = ops.ATTENTION_SLAB_ROWS
+        slabs, fallback = ops._slab_plan(ops.causal_mask(130, 130), 130, 130)
+        assert not fallback
+        bounds = list(range(0, 130, rows)) + [130]
+        assert slabs == tuple((r0, r1, r0 + 1, r1)
+                              for r0, r1 in zip(bounds, bounds[1:]))
+        mask = np.array(ops.causal_mask(130, 130))
+        mask[70] = True
+        slabs, fallback = ops._slab_plan(mask, 130, 130)
+        assert fallback and all((s0, e) == (0, 130)
+                                for _, _, s0, e in slabs)
+        slabs, fallback = ops._slab_plan(None, 130, 130)
+        assert not fallback and all((s0, e) == (130, 130)
+                                    for _, _, s0, e in slabs)
+
+    def test_mask_must_be_sq_by_sk(self, rng):
+        """A slab indexes the mask by query row, so a mask that would
+        only broadcast is rejected rather than misread."""
+        q = Tensor(rng.standard_normal((1, 2, 70, 8)))
+        with pytest.raises(ValueError, match="not"):
+            ops.attention(q, q, q, np.zeros((1, 70), dtype=bool))
+
+    def test_causal_plan_not_rescanned(self, rng, monkeypatch):
+        """The cached causal mask's plan is memoized; any other mask is
+        planned per call."""
+        q = Tensor(rng.standard_normal((1, 2, 130, 8)))
+        ops.attention(q, q, q, ops.causal_mask(130, 130))
+        ops.attention(q, q, q)
+        calls = []
+        real = ops._slab_plan
+        monkeypatch.setattr(ops, "_slab_plan",
+                            lambda *a: calls.append(a) or real(*a))
+        ops.attention(q, q, q, ops.causal_mask(130, 130))
+        ops.attention(q, q, q)
+        assert calls == []
+        ops.attention(q, q, q, np.array(ops.causal_mask(130, 130)))
+        assert len(calls) == 1
 
 
 def add_at(out, index, values):
