@@ -115,7 +115,7 @@ def _cmd_plan_search(args) -> int:
     if args.schedule_budget > 0:
         composed = optimize_plan(model, cluster, train,
                                  budget=args.schedule_budget,
-                                 seed=args.seed)
+                                 seed=args.seed, plan=result)
         print(f"\nschedule search (budget {args.schedule_budget}, "
               f"seed {args.seed}): layer gain "
               f"{composed.layer_gain * 100:.2f}% over the holistic "

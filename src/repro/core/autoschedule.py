@@ -15,6 +15,7 @@ worse than the hand-tailored holistic one it starts from.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -70,9 +71,9 @@ class AutoScheduler:
     def optimize(self, graph: OpGraph,
                  durations: Dict[str, float]) -> AutoScheduleResult:
         """Search for a faster schedule than the holistic baseline."""
-        baseline_tasks = HolisticScheduler(self.overlap).schedule(
-            graph, durations)
-        baseline = simulate(baseline_tasks).makespan
+        baseline_tasks, timeline = HolisticScheduler(
+            self.overlap).schedule_and_simulate(graph, durations)
+        baseline = timeline.makespan
 
         rng = np.random.default_rng(self.seed)
         names = [t.name for t in baseline_tasks]
@@ -119,19 +120,20 @@ def _reorder_by_priority(tasks: List[SimTask],
             indegree[t.name] += 1
             children[dep].append(t.name)
 
-    ready = [name for name, deg in indegree.items() if deg == 0]
+    # Tie-break equal priorities by name: dict insertion order is an
+    # accident of graph construction and made search results unstable
+    # across runs.  Names are unique, so the heap order is total.
+    ready = [(priority.get(name, 0.0), name)
+             for name, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
     out: List[SimTask] = []
     while ready:
-        # Tie-break equal priorities by name: dict insertion order is
-        # an accident of graph construction and made search results
-        # unstable across runs.
-        ready.sort(key=lambda n: (priority.get(n, 0.0), n))
-        name = ready.pop(0)
+        _, name = heapq.heappop(ready)
         out.append(by_name[name])
         for child in children[name]:
             indegree[child] -= 1
             if indegree[child] == 0:
-                ready.append(child)
+                heapq.heappush(ready, (priority.get(child, 0.0), child))
     if len(out) != len(tasks):
         return None
     return out
@@ -169,6 +171,7 @@ def optimize_plan(
     seed: int = 0,
     spans=None,
     calibration=None,
+    plan=None,
 ) -> PlanScheduleResult:
     """Search the plan space, then the schedule space of the winner.
 
@@ -178,12 +181,22 @@ def optimize_plan(
     :class:`~repro.perf.estimator.CalibrationReport` is fitted first
     and both searches use calibrated durations — closing the §7
     execute → trace → calibrate → plan loop.
+
+    ``plan``, an uncalibrated ``PlanSearchResult`` the caller already
+    has for the same inputs, skips the plan search; it cannot be
+    combined with ``spans`` or ``calibration``, which re-price the
+    plan space.
     """
     from ..perf.estimator import calibrate_from_spans, \
         calibrated_durations
     from ..perf.systems import MegaScalePerfModel
     from .planner import plan_cluster
 
+    if plan is not None and (spans is not None
+                             or calibration is not None):
+        raise ValueError("a precomputed plan cannot be combined with "
+                         "spans or calibration, which re-price the "
+                         "plan space")
     train = train or TrainConfig()
     probe_cand = None
     if spans is not None and calibration is None:
@@ -203,7 +216,9 @@ def optimize_plan(
                                         probe_cand.elem_bytes)
             calibration = calibrate_from_spans(km, graph, spans)
 
-    plan = plan_cluster(model, cluster, train, calibration=calibration)
+    if plan is None:
+        plan = plan_cluster(model, cluster, train,
+                            calibration=calibration)
     best = plan.best.candidate
 
     perf = MegaScalePerfModel(

@@ -115,8 +115,14 @@ class OpGraph:
                     raise ValueError(
                         f"op {op.name!r} depends on unknown op {dep!r}"
                     )
-        self._check_acyclic()
-        self._check_topological()
+        # A list in topological order is acyclic, so the O(E) order
+        # pass settles well-formed graphs alone; only when it fails does
+        # Kahn's pass run, so that a cycle is reported as a cycle.
+        try:
+            self._check_topological()
+        except ValueError:
+            self._check_acyclic()
+            raise
 
     def _check_acyclic(self) -> None:
         """Kahn's algorithm; any op never reaching in-degree 0 is cyclic."""

@@ -17,10 +17,11 @@ into a stream-assigned task list for the event simulator:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from ..sim.engine import SimTask
+from ..sim.engine import SimTask, Timeline, simulate
 from .operators import Op, OpGraph
 
 __all__ = ["OverlapConfig", "HolisticScheduler", "FusedKernel"]
@@ -83,14 +84,29 @@ class HolisticScheduler:
         when inter-operator overlap cannot already hide that comm.
         """
         if self.overlap.intra_op and self.overlap.inter_op:
-            from ..sim.engine import simulate
-            fused = self._schedule(graph, durations, intra=True)
-            unfused = self._schedule(graph, durations, intra=False)
-            if simulate(fused).makespan <= simulate(unfused).makespan:
-                return fused
-            return unfused
+            return self.schedule_and_simulate(graph, durations)[0]
         return self._schedule(graph, durations,
                               intra=self.overlap.intra_op)
+
+    def schedule_and_simulate(self, graph: OpGraph,
+                              durations: Dict[str, float]
+                              ) -> Tuple[List[SimTask], Timeline]:
+        """:meth:`schedule`, plus the simulated timeline of its tasks.
+
+        The holistic choice already simulates both candidates, so the
+        winner's timeline comes back with it instead of being simulated
+        again; it equals ``simulate(tasks)`` record for record.
+        """
+        if self.overlap.intra_op and self.overlap.inter_op:
+            fused = self._schedule(graph, durations, intra=True)
+            unfused = self._schedule(graph, durations, intra=False)
+            tl_fused, tl_unfused = simulate(fused), simulate(unfused)
+            if tl_fused.makespan <= tl_unfused.makespan:
+                return fused, tl_fused
+            return unfused, tl_unfused
+        tasks = self._schedule(graph, durations,
+                               intra=self.overlap.intra_op)
+        return tasks, simulate(tasks)
 
     def _schedule(self, graph: OpGraph, durations: Dict[str, float],
                   intra: bool) -> List[SimTask]:
@@ -228,30 +244,64 @@ class HolisticScheduler:
                 f"cyclic dependencies among schedule units: {stuck[:5]}"
             )
 
+        # Event-driven selection.  The unit picked next is the ready
+        # unit (all deps finished) with the least key (start, -crit,
+        # input position), where start = max(stream free time, latest
+        # dep finish).  Per stream, ready units sit in one of two heaps:
+        # ``now`` holds those whose deps finished by the stream's free
+        # time (start = free, so key (-crit, pos)); ``later`` holds the
+        # rest, keyed (dep_ready, -crit, pos).  Every ``now`` unit
+        # starts before every ``later`` one, so each stream's best is
+        # the top of ``now`` if any, else the top of ``later``.
+        position = {u[0]: i for i, u in enumerate(units)}
+        stream_of = [f"comm_{u[3]}" if u[2] else "compute" for u in units]
+        waiting = [len(u[4]) for u in units]
         finish: Dict[str, float] = {}
         stream_free: Dict[str, float] = {}
-        pending = list(units)
+        now: Dict[str, list] = {s: [] for s in stream_of}
+        later: Dict[str, list] = {s: [] for s in stream_of}
+
+        def release(i: int) -> None:
+            name, _, _, _, deps = units[i]
+            dep_ready = max((finish[d] for d in deps), default=0.0)
+            stream = stream_of[i]
+            if dep_ready <= stream_free.get(stream, 0.0):
+                heapq.heappush(now[stream], (-crit[name], i))
+            else:
+                heapq.heappush(later[stream], (dep_ready, -crit[name], i))
+
+        for i, n_deps in enumerate(waiting):
+            if n_deps == 0:
+                release(i)
+
         ordered = []
-        while pending:
-            best = None
+        while len(ordered) < len(units):
             best_key = None
-            for u in pending:
-                name, dur, is_comm, scope, deps = u
-                if any(d not in finish for d in deps):
+            for stream in now:
+                if now[stream]:
+                    neg_crit, i = now[stream][0]
+                    key = (stream_free.get(stream, 0.0), neg_crit, i)
+                elif later[stream]:
+                    key = later[stream][0]
+                else:
                     continue
-                stream = (f"comm_{scope}" if is_comm else "compute")
-                start = max(stream_free.get(stream, 0.0),
-                            max((finish[d] for d in deps), default=0.0))
-                key = (start, -crit[name])
                 if best_key is None or key < best_key:
-                    best, best_key = u, key
-            if best is None:
+                    best_key, best_stream = key, stream
+            if best_key is None:
                 raise ValueError("cyclic dependencies in schedule units")
-            name, dur, is_comm, scope, deps = best
-            stream = f"comm_{scope}" if is_comm else "compute"
-            start = best_key[0]
-            finish[name] = start + dur
-            stream_free[stream] = start + dur
-            ordered.append(best)
-            pending.remove(best)
+            start, _, i = best_key
+            heapq.heappop(now[best_stream] if now[best_stream]
+                          else later[best_stream])
+            name, dur = units[i][:2]
+            end = finish[name] = stream_free[best_stream] = start + dur
+            queue = later[best_stream]
+            while queue and queue[0][0] <= end:
+                _, neg_crit, j = heapq.heappop(queue)
+                heapq.heappush(now[best_stream], (neg_crit, j))
+            ordered.append(units[i])
+            for child in children[name]:
+                j = position[child]
+                waiting[j] -= 1
+                if waiting[j] == 0:
+                    release(j)
         return ordered

@@ -36,7 +36,6 @@ from ..core.config import (
 )
 from ..core.operators import build_backward_graph, build_forward_graph
 from ..core.schedule import HolisticScheduler, OverlapConfig
-from ..sim.engine import simulate
 from .estimator import CalibrationReport, KernelModel, calibrated_durations
 
 __all__ = ["IterationBreakdown", "SystemPerfModel", "MegatronPerfModel",
@@ -126,8 +125,10 @@ class SystemPerfModel:
         bwd = build_backward_graph(model, parallel, micro_batch,
                                    self.elem_bytes,
                                    selective_remat=self.selective_remat)
-        tl_fwd = simulate(scheduler.schedule(fwd, self._durations(km, fwd)))
-        tl_bwd = simulate(scheduler.schedule(bwd, self._durations(km, bwd)))
+        _, tl_fwd = scheduler.schedule_and_simulate(
+            fwd, self._durations(km, fwd))
+        _, tl_bwd = scheduler.schedule_and_simulate(
+            bwd, self._durations(km, bwd))
         return fwd, bwd, tl_fwd, tl_bwd
 
     def _kind_times(self, graph, km: KernelModel) -> Dict[str, float]:

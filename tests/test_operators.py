@@ -65,6 +65,19 @@ class TestOpValidation:
                            match="dependency cycle involving ops"):
             OpGraph([a, b])
 
+    def test_cycle_reported_as_cycle_not_misordering(self):
+        """The order pass runs first, but a cyclic list still reports
+        the cycle, also when an unrelated op is misordered too."""
+        late = Op("late", "memory", deps=("x",))
+        x = Op("x", "memory")
+        self_loop = Op("s", "memory", deps=("s",))
+        a = Op("a", "memory", deps=("b",))
+        b = Op("b", "memory", deps=("a",))
+        for ops in ([self_loop], [x, a, b], [late, x, a, b]):
+            with pytest.raises(ValueError,
+                               match="dependency cycle involving ops"):
+                OpGraph(ops)
+
 
 class TestForwardGraphs:
     @pytest.mark.parametrize("parallel", STRATEGIES,
